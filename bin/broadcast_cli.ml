@@ -172,6 +172,10 @@ let info_cmd =
     [ ("sequential", Sequential); ("broadcast", Broadcast); ("noisy", Noisy) ]
   in
   let run k protocol noise =
+    if k < 2 then begin
+      Printf.eprintf "info: -k %d: the hard distribution needs k >= 2\n" k;
+      exit 2
+    end;
     let protocol_name =
       List.find (fun (_, p) -> p = protocol) protocols |> fst
     in
@@ -477,8 +481,20 @@ let or_cmd =
 (* oneshot                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The explicit 2^k transcript law bounds the work: on a 2-vCPU x86
+   host k = 12 takes ~0.7 s, k = 13 ~2 s and k = 14 3-5 s, each step
+   more than doubling, so larger k is refused rather than left to run. *)
+let oneshot_max_k = 14
+
 let oneshot_cmd =
   let run k =
+    if k < 1 || k > oneshot_max_k then begin
+      Printf.eprintf
+        "oneshot: -k %d: need 1 <= k <= %d (the exact 2^k law's time \
+         budget)\n"
+        k oneshot_max_k;
+      exit 2
+    end;
     let tree = Protocols.And_protocols.sequential k in
     let mu =
       Prob.Dist_exact.iid k
@@ -504,7 +520,14 @@ let oneshot_cmd =
       "the omniscient one reaches the entropy but is not a legal protocol —\n";
     Printf.printf "the Section-6 one-shot gap, operationally.\n"
   in
-  let k = Arg.(value & opt int 8 & info [ "k" ] ~doc:"Players (<= ~12).") in
+  let k =
+    Arg.(value & opt int 8
+         & info [ "k" ]
+             ~doc:(Printf.sprintf
+                     "Players, 1 to %d; larger k is refused (exit 2), since \
+                      the exact 2^k law more than doubles in time per player."
+                     oneshot_max_k))
+  in
   Cmd.v
     (Cmd.info "oneshot"
        ~doc:"Measure the one-shot entropy-coding gap (E12).")
@@ -582,6 +605,11 @@ let run_protocol_cmd =
                    else "saw misbehaving emit laws");
                 None)
     in
+    (match Netsim.Fault.check faults ~k:(Reg.players entry) with
+    | Ok () -> ()
+    | Error e ->
+        Printf.eprintf "run: --faults: %s\n" e;
+        exit 2);
     let net_seed = Option.value net_seed ~default:seed in
     let h = Reg.hosted entry ~seed in
     let spec_check board =

@@ -112,25 +112,87 @@ let expected_bits variant ~seed ~tree ~mu ~samples =
   done;
   (float_of_int !total /. float_of_int samples, !all_ok)
 
-(* Replay a fixed transcript through an observer, producing the
-   (nu, message) event sequence the coders consume. *)
-let events_of_transcript ~tree ~mu transcript =
-  let obs = ref (Observer.create tree mu) in
-  List.filter_map
-    (fun event ->
-      match event with
-      | Proto.Tree.Coin c ->
-          obs := Observer.advance_coin !obs c;
-          None
-      | Proto.Tree.Msg (_, m) ->
-          let nu =
-            match Observer.speak_view !obs with
-            | Some (_, _, nu) -> nu
-            | None -> invalid_arg "Oneshot: transcript does not match tree"
-          in
-          obs := Observer.advance_msg !obs m;
-          Some (nu, m))
-    transcript
+module R = Exact.Rational
+module T = Proto.Tree
+
+let mismatch () = invalid_arg "Oneshot: transcript does not match tree"
+
+(* The (nu, message) events of every transcript of [law], in one pass
+   over the tree, returned in [D.to_alist law] order with each
+   transcript and its probability.
+
+   With p(prefix) the law's mass on the transcripts extending a prefix,
+   the observer's prior at a [Speak] node is the prefix-mass ratio
+   nu(m) = p(prefix . Msg m) / p(prefix). That is the same exact
+   rational as {!Observer.speak_view}'s posterior mixture, whose
+   weights differ from these masses only by the public-coin factors
+   common to every child, so every float [nu] is the same too.
+
+   The entries through a node are grouped by their next event and the
+   walk returns the subtree's mass, so each node's masses are summed
+   once, bottom up. A node's [nu] array is shared by every transcript
+   through it and filled once its children's masses are known; the
+   events are read only after the walk. *)
+let events_of_law ~tree law =
+  let entries = Array.of_list (D.to_alist law) in
+  let events = Array.make (Array.length entries) [] in
+  let group arity members key =
+    let buckets = Array.make arity [] in
+    List.iter
+      (fun (i, rest) ->
+        match rest with
+        | e :: rest ->
+            let c = key e in
+            if c < 0 || c >= arity then mismatch ();
+            buckets.(c) <- (i, rest) :: buckets.(c)
+        | [] -> mismatch ())
+      members;
+    buckets
+  in
+  (* [members] are the entries through [node], each with the rest of
+     its transcript; [rev_events] is the path's events, newest first.
+     Returns the members' total mass. *)
+  let rec walk node rev_events members =
+    match node with
+    | T.Output _ ->
+        List.fold_left
+          (fun acc (i, rest) ->
+            if rest <> [] then mismatch ();
+            events.(i) <- rev_events;
+            R.add acc (snd entries.(i)))
+          R.zero members
+    | T.Chance { children; _ } ->
+        let buckets =
+          group (Array.length children) members (function
+            | T.Coin c -> c
+            | T.Msg _ -> mismatch ())
+        in
+        Array.fold_left R.add R.zero
+          (Array.mapi (fun c b -> descend children.(c) rev_events b) buckets)
+    | T.Speak { speaker; children; _ } ->
+        let arity = Array.length children in
+        let buckets =
+          group arity members (function
+            | T.Msg (s, m) when s = speaker -> m
+            | _ -> mismatch ())
+        in
+        let nu = Array.make arity 0. in
+        let mass =
+          Array.mapi
+            (fun m b -> descend children.(m) ((nu, m) :: rev_events) b)
+            buckets
+        in
+        let total = Array.fold_left R.add R.zero mass in
+        Array.iteri (fun m w -> nu.(m) <- R.to_float (R.div w total)) mass;
+        total
+  and descend child rev_events = function
+    | [] -> R.zero
+    | members -> walk child rev_events members
+  in
+  ignore
+    (walk tree [] (Array.to_list (Array.mapi (fun i (t, _) -> (i, t)) entries)));
+  Array.to_list
+    (Array.mapi (fun i (t, p) -> (t, p, List.rev events.(i))) entries)
 
 let code_events ~single_stream events =
   if single_stream then begin
@@ -158,13 +220,49 @@ let code_events ~single_stream events =
     deterministic given the message sequence, so the expectation is a
     finite sum over the transcript law — no sampling, no seed.
     [single_stream = true] is the omniscient variant, [false] the
-    interactive one. *)
+    interactive one. The observer priors come from the law itself
+    ({!events_of_law}); no {!Observer} is replayed. *)
 let expected_bits_exact ~single_stream ~tree ~mu =
   let law = Proto.Semantics.transcript_law tree mu in
   List.fold_left
-    (fun acc (transcript, p) ->
-      let events = events_of_transcript ~tree ~mu transcript in
+    (fun acc (_, p, events) ->
       acc
-      +. Exact.Rational.to_float p
-         *. float_of_int (code_events ~single_stream events))
-    0. (D.to_alist law)
+      +. R.to_float p *. float_of_int (code_events ~single_stream events))
+    0. (events_of_law ~tree law)
+
+module For_testing = struct
+  let prefix_mass_events ~tree ~mu =
+    List.map
+      (fun (t, _, events) -> (t, events))
+      (events_of_law ~tree (Proto.Semantics.transcript_law tree mu))
+
+  (* Replay a fixed transcript through a fresh observer from the root,
+     producing the (nu, message) event sequence the coders consume. *)
+  let replay_events ~tree ~mu transcript =
+    let obs = ref (Observer.create tree mu) in
+    List.filter_map
+      (fun event ->
+        match event with
+        | T.Coin c ->
+            obs := Observer.advance_coin !obs c;
+            None
+        | T.Msg (_, m) ->
+            let nu =
+              match Observer.speak_view !obs with
+              | Some (_, _, nu) -> nu
+              | None -> mismatch ()
+            in
+            obs := Observer.advance_msg !obs m;
+            Some (nu, m))
+      transcript
+
+  let expected_bits_replay ~single_stream ~tree ~mu =
+    let law = Proto.Semantics.transcript_law tree mu in
+    List.fold_left
+      (fun acc (transcript, p) ->
+        let events = replay_events ~tree ~mu transcript in
+        acc
+        +. R.to_float p
+           *. float_of_int (code_events ~single_stream events))
+      0. (D.to_alist law)
+end

@@ -55,4 +55,35 @@ val expected_bits_exact :
   single_stream:bool -> tree:'a Proto.Tree.t -> mu:'a array Prob.Dist_exact.t -> float
 (** Exact expectation: the coders are deterministic given the message
     sequence, so this is a finite sum over the transcript law
-    ([single_stream = true] is the omniscient variant). *)
+    ([single_stream = true] is the omniscient variant). At each [Speak]
+    node the observer's prior is read off the same law as a ratio of
+    prefix masses, [nu(m) = p(prefix . m) / p(prefix)] — the exact
+    rational {!Observer.speak_view} computes, so the result is
+    bit-identical to replaying an observer along every transcript. *)
+
+(** The per-transcript observer replay that {!expected_bits_exact}
+    superseded, kept as its differential reference, and the production
+    events to hold against it. *)
+module For_testing : sig
+  val prefix_mass_events :
+    tree:'a Proto.Tree.t ->
+    mu:'a array Prob.Dist_exact.t ->
+    (Proto.Tree.transcript * (float array * int) list) list
+  (** Every transcript of the law (in [Dist_exact.to_alist] order) with
+      the (prior, message) events {!expected_bits_exact} codes. *)
+
+  val replay_events :
+    tree:'a Proto.Tree.t ->
+    mu:'a array Prob.Dist_exact.t ->
+    Proto.Tree.transcript ->
+    (float array * int) list
+  (** The same events for one transcript, from a fresh {!Observer}
+      replayed from the root. *)
+
+  val expected_bits_replay :
+    single_stream:bool ->
+    tree:'a Proto.Tree.t ->
+    mu:'a array Prob.Dist_exact.t ->
+    float
+  (** {!expected_bits_exact} by per-transcript observer replay. *)
+end

@@ -51,6 +51,11 @@ val drop_prob : plan -> float
 val max_jitter : plan -> int
 (** Delivery jitter bound (0 when no [Delay] spec). *)
 
+val check : plan -> k:int -> (unit, string) result
+(** [Error] names the first spec whose player lies outside [0, k) —
+    what {!crash_budget} and {!equivocators} would raise on. Lets a
+    caller refuse a plan before running it. *)
+
 val crash_budget : plan -> k:int -> int array
 (** Per-player send budget: [max_int] for healthy players, the
     [after_sends] of their [Crash] spec otherwise.

@@ -171,6 +171,118 @@ let t_oneshot_exact_matches_sampled () =
   check_close ~msg:(Printf.sprintf "exact %.3f vs sampled %.3f" exact sampled)
     ~eps:0.5 exact sampled
 
+(* --- one-shot exact expectation: prefix masses vs observer replay --- *)
+
+module Os = Compress.Oneshot
+
+let bits = Int64.bits_of_float
+
+let same_floats a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+(* E12's product law: each player holds 0 with probability 1/k. *)
+let e12_mu k =
+  D.iid k (D.of_weighted [ (0, R.of_ints 1 k); (1, R.of_ints (k - 1) k) ])
+
+(* Every prior the prefix-mass pass hands the coders equals, bit for
+   bit, the one a fresh observer replayed along the same transcript
+   computes; and both variants' expectations agree bit for bit. *)
+let differential ~name ~tree ~mu =
+  List.iter
+    (fun (t, events) ->
+      let replay = Os.For_testing.replay_events ~tree ~mu t in
+      if
+        not
+          (List.length events = List.length replay
+          && List.for_all2
+               (fun (nu, m) (nu', m') -> m = m' && same_floats nu nu')
+               events replay)
+      then Alcotest.failf "%s: prefix-mass prior differs from observer" name)
+    (Os.For_testing.prefix_mass_events ~tree ~mu);
+  List.iter
+    (fun single_stream ->
+      let fast = Os.expected_bits_exact ~single_stream ~tree ~mu in
+      let slow = Os.For_testing.expected_bits_replay ~single_stream ~tree ~mu in
+      if bits fast <> bits slow then
+        Alcotest.failf "%s (%s): %h <> replay %h" name
+          (if single_stream then "omniscient" else "interactive")
+          fast slow)
+    [ false; true ]
+
+let t_oneshot_registry_differential () =
+  let entries = Protocols.Registry.all () in
+  Alcotest.(check bool) "registry is populated" true (List.length entries >= 12);
+  List.iter
+    (fun (Protocols.Registry.Entry { name; players; domain; tree; _ }) ->
+      let mu = D.iid players (D.uniform (Array.to_list domain)) in
+      differential ~name ~tree:(Lazy.force tree) ~mu)
+    entries
+
+let t_oneshot_and_differential () =
+  let noise = R.of_ints 1 10 in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (pname, tree) ->
+          List.iter
+            (fun (mname, mu) ->
+              differential
+                ~name:(Printf.sprintf "%s k=%d %s" pname k mname)
+                ~tree ~mu)
+            [ ("product", e12_mu k); ("hard", Protocols.Hard_dist.mu_and ~k) ])
+        [
+          ("sequential", Protocols.And_protocols.sequential k);
+          ("broadcast-all", Protocols.And_protocols.broadcast_all k);
+          ("noisy", Protocols.And_protocols.noisy_sequential ~k ~noise);
+        ])
+    [ 2; 3; 4; 5; 6 ]
+
+let prop_oneshot_random_trees =
+  qtest "one-shot: prefix masses = observer replay (random trees)" ~count:60
+    QCheck.small_nat (fun seed ->
+      Test_random_trees.with_random_tree seed (fun tree ->
+          let rng = Prob.Rng.of_int_seed (seed + 7919) in
+          let k = Test_random_trees.k in
+          (* random product law; Pr[0] = i/6 with i in [0, 6], so point
+             masses (and zero-mass messages) occur too *)
+          let mu =
+            D.product_array
+              (Array.init k (fun _ ->
+                   let i = Prob.Rng.int rng 7 in
+                   D.of_weighted [ (0, R.of_ints i 6); (1, R.of_ints (6 - i) 6) ]))
+          in
+          differential ~name:(Printf.sprintf "seed %d" seed) ~tree ~mu;
+          true))
+
+(* Pinned from the per-transcript observer replay this pass replaced:
+   sequential AND_k under E12's product law, (interactive, omniscient). *)
+let oneshot_pins =
+  [
+    (2, 4.5, 3.5);
+    (3, 4.9259259259259256, 3.1481481481481479);
+    (4, 6.8359375, 3.7890625);
+    (5, 8.0678400000000003, 3.7542400000000002);
+    (6, 9.3114283264746227, 3.8124571330589849);
+    (7, 10.56133316657418, 3.964898007754301);
+    (8, 12.471430599689484, 4.2170790433883667);
+    (9, 13.724772261593008, 4.2284315763175861);
+    (10, 14.980395877699999, 4.3534808897000001);
+  ]
+
+let t_oneshot_golden_pins () =
+  List.iter
+    (fun (k, inter, omni) ->
+      let tree = Protocols.And_protocols.sequential k and mu = e12_mu k in
+      List.iter
+        (fun (single_stream, expected) ->
+          let got = Os.expected_bits_exact ~single_stream ~tree ~mu in
+          if bits got <> bits expected then
+            Alcotest.failf "k=%d %s: expected %.17g, got %.17g" k
+              (if single_stream then "omniscient" else "interactive")
+              expected got)
+        [ (false, inter); (true, omni) ])
+    oneshot_pins
+
 (* --- observer --- *)
 
 let t_observer_prior_is_mixture () =
@@ -304,6 +416,13 @@ let suite =
     slow "skewed prior" t_skewed_nu;
     quick "amortized through chance nodes" t_amortized_with_chance_nodes;
     slow "one-shot: exact expectation matches sampling" t_oneshot_exact_matches_sampled;
+    quick "one-shot: registry, prefix masses = observer replay"
+      t_oneshot_registry_differential;
+    quick "one-shot: AND family, prefix masses = observer replay"
+      t_oneshot_and_differential;
+    prop_oneshot_random_trees;
+    quick "one-shot: golden pins (sequential AND_k, k <= 10)"
+      t_oneshot_golden_pins;
     quick "domination violation detected" t_domination_violation;
     quick "observer prior is the mixture" t_observer_prior_is_mixture;
     quick "observer posterior update" t_observer_posterior_update;
