@@ -24,6 +24,18 @@ let tests () =
      the Karatsuba threshold, so these exercise the bigint slow paths. *)
   let big_a = Exact.Bigint.of_string (String.make 620 '7') in
   let big_b = Exact.Bigint.of_string (String.make 619 '3') in
+  (* ~1024-bit divisor: a 2048-by-1024-bit multi-limb division. *)
+  let big_d = Exact.Bigint.of_string (String.make 309 '3') in
+  (* ~240-bit terms, the size of the exact weights in the Orbit k = 24
+     cells. The product's terms share the ~100-bit factor 3^63, so its
+     reduction takes a multi-limb gcd and two multi-limb divisions. *)
+  let rbig_a, rbig_b =
+    let open Exact.Bigint in
+    let p b e = pow (of_int b) e in
+    ( Exact.Rational.make (p 7 85) (mul (p 3 63) (p 5 60)),
+      Exact.Rational.make (mul (p 3 63) (p 11 40))
+        (add (shift_left one 240) (of_int 33)) )
+  in
   (* Small-word rationals: stays on the native-int representation. *)
   let r13 = Exact.Rational.of_ints 1 3 in
   let r57 = Exact.Rational.of_ints 5 7 in
@@ -113,12 +125,16 @@ let tests () =
            ignore (Proto.Information.external_ic and_tree6 mu6)));
     Test.make ~name:"bigint-gcd-2048bit"
       (Staged.stage (fun () -> ignore (Exact.Bigint.gcd big_a big_b)));
+    Test.make ~name:"bigint-divmod-2048by1024bit"
+      (Staged.stage (fun () -> ignore (Exact.Bigint.div_mod big_a big_d)));
     Test.make ~name:"bigint-mul-2048bit"
       (Staged.stage (fun () -> ignore (Exact.Bigint.mul big_a big_b)));
     Test.make ~name:"rational-add-small"
       (Staged.stage (fun () -> ignore (Exact.Rational.add r13 r57)));
     Test.make ~name:"rational-mul-small"
       (Staged.stage (fun () -> ignore (Exact.Rational.mul r13 r57)));
+    Test.make ~name:"rational-mul-big"
+      (Staged.stage (fun () -> ignore (Exact.Rational.mul rbig_a rbig_b)));
     Test.make ~name:"transcript-dist-two-copy"
       (Staged.stage (fun () ->
            ignore (Proto.Semantics.transcript_dist two_copy two_copy_input)));

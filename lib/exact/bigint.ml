@@ -110,13 +110,14 @@ let mul_mag_int a m =
     normalize r
   end
 
+(* Significant bits of one limb. *)
+let limb_width v =
+  let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
+  width v 0
+
 let num_bits_mag a =
   let la = Array.length a in
-  if la = 0 then 0
-  else
-    let top = a.(la - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((la - 1) * base_bits) + width top 0
+  if la = 0 then 0 else ((la - 1) * base_bits) + limb_width a.(la - 1)
 
 let shift_left_mag a n =
   if mag_is_zero a || n = 0 then a
@@ -203,30 +204,76 @@ let div_mod_mag_small a d =
   done;
   (normalize q, !rem)
 
-(* Schoolbook long division on magnitudes, one quotient bit at a time.
-   Adequate for the sizes this library sees (a few thousand bits);
-   single-limb divisors take the word-wise fast path. *)
+(* Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) on base-2^30 limbs, for
+   divisors of two or more limbs; single-limb divisors take the
+   word-wise fast path. Both operands are first shifted left by the
+   same [s] in [0, 29] so that the divisor's top limb has bit 29 set;
+   then the trial quotient digit q^ (top two remainder limbs over the
+   top divisor limb) is at most two too large, and the test against
+   the second divisor limb leaves it at most one too large. That last
+   case, about 2 in 2^30 digits, is undone by the add-back step. Every
+   intermediate fits a native int: the trial numerator is below 2^60,
+   q^ <= 2^30 + 1 so q^ * v < 2^61, and r^ * 2^30 + u < 2^60 because
+   r^ < 2^30 whenever it is used. One quotient limb per outer step:
+   O(m * n) limb operations for an (m+n)-limb dividend. *)
 let div_mod_mag a b =
   if mag_is_zero b then raise Division_by_zero;
-  if Array.length b = 1 then begin
+  let n = Array.length b in
+  if n = 1 then begin
     let q, r = div_mod_mag_small a b.(0) in
     (q, if r = 0 then [||] else [| r |])
   end
   else if cmp_mag a b < 0 then ([||], a)
   else begin
-    let na = num_bits_mag a in
-    let q = Array.make ((na / base_bits) + 1) 0 in
-    let rem = ref [||] in
-    for i = na - 1 downto 0 do
-      let r = shift_left_mag !rem 1 in
-      let r = if testbit_mag a i then add_mag r [| 1 |] else r in
-      if cmp_mag r b >= 0 then begin
-        rem := sub_mag r b;
-        q.(i / base_bits) <- q.(i / base_bits) lor (1 lsl (i mod base_bits))
+    let m = Array.length a - n in
+    (* D1: normalise; [s] in [0, 29] *)
+    let s = base_bits - limb_width b.(n - 1) in
+    let v = shift_left_mag b s in
+    (* the shifted dividend, with room for one more top limb *)
+    let u = Array.make (m + n + 1) 0 in
+    let a' = shift_left_mag a s in
+    Array.blit a' 0 u 0 (Array.length a');
+    let q = Array.make (m + 1) 0 in
+    let vtop = v.(n - 1) and vnext = v.(n - 2) in
+    for j = m downto 0 do
+      (* D3: trial digit from the top two limbs, corrected by the
+         second divisor limb *)
+      let num = (u.(j + n) lsl base_bits) lor u.(j + n - 1) in
+      let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+      let ulow = u.(j + n - 2) in
+      while
+        !rhat < base
+        && (!qhat >= base || !qhat * vnext > (!rhat lsl base_bits) lor ulow)
+      do
+        decr qhat;
+        rhat := !rhat + vtop
+      done;
+      (* D4: u[j..j+n] -= q^ * v, with a branchless borrow *)
+      let qh = !qhat in
+      let carry = ref 0 in
+      for i = 0 to n - 1 do
+        let p = (qh * v.(i)) + !carry in
+        let diff = u.(i + j) - (p land base_mask) in
+        u.(i + j) <- diff land base_mask;
+        carry := (p lsr base_bits) + (diff lsr 62)
+      done;
+      let diff = u.(j + n) - !carry in
+      u.(j + n) <- diff land base_mask;
+      if diff < 0 then begin
+        (* D6: q^ was one too large; add v back, dropping the carry out *)
+        q.(j) <- qh - 1;
+        let carry = ref 0 in
+        for i = 0 to n - 1 do
+          let x = u.(i + j) + v.(i) + !carry in
+          u.(i + j) <- x land base_mask;
+          carry := x lsr base_bits
+        done;
+        u.(j + n) <- (u.(j + n) + !carry) land base_mask
       end
-      else rem := r
+      else q.(j) <- qh
     done;
-    (normalize q, !rem)
+    (* D8: u[n..] is zero now; the remainder is u shifted back by [s] *)
+    (normalize q, normalize (shift_right_mag u s))
   end
 
 (* ------------------------------------------------------------------ *)
@@ -321,63 +368,6 @@ let shift_right x n =
   if n < 0 then invalid_arg "Bigint.shift_right";
   if x.sign = 0 then zero else make x.sign (shift_right_mag x.mag n)
 
-(* Trailing zero bits of a non-empty magnitude. *)
-let ctz_mag a =
-  let i = ref 0 in
-  while a.(!i) = 0 do
-    incr i
-  done;
-  let rec tz v acc = if v land 1 = 1 then acc else tz (v lsr 1) (acc + 1) in
-  (!i * base_bits) + tz a.(!i) 0
-
-let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
-
-(* [to_int_opt] needs [num_bits]/[equal], which are defined below; the
-   magnitude check here is all gcd needs for its word-size fast path. *)
-let mag_fits_int mag = num_bits_mag mag <= 62
-
-let mag_to_int mag = Array.fold_right (fun limb acc -> (acc * base) + limb) mag 0
-
-(* Binary (Stein) GCD on magnitudes. Compared to Euclid over [div_mod]
-   — whose multi-limb path peels one quotient bit per iteration, each
-   with a full-magnitude shift/compare/subtract — every iteration here
-   is a single subtract and a trailing-zero shift, and word-size
-   operands drop to native-int Euclid immediately. *)
-let gcd a b =
-  let a = a.mag and b = b.mag in
-  if mag_is_zero a then make 1 b
-  else if mag_is_zero b then make 1 a
-  else if mag_fits_int a && mag_fits_int b then
-    of_int (int_gcd (mag_to_int a) (mag_to_int b))
-  else begin
-    let za = ctz_mag a and zb = ctz_mag b in
-    let shift = Stdlib.min za zb in
-    let a = ref (shift_right_mag a za) in
-    let b = ref (shift_right_mag b zb) in
-    (* both odd from here on; the loop keeps them odd *)
-    let continue = ref true in
-    while !continue do
-      if mag_fits_int !a && mag_fits_int !b then begin
-        a := (of_int (int_gcd (mag_to_int !a) (mag_to_int !b))).mag;
-        continue := false
-      end
-      else begin
-        let c = cmp_mag !a !b in
-        if c = 0 then continue := false
-        else begin
-          if c < 0 then begin
-            let t = !a in
-            a := !b;
-            b := t
-          end;
-          let d = sub_mag !a !b in
-          (* d > 0 and even: both were odd *)
-          a := shift_right_mag d (ctz_mag d)
-        end
-      end
-    done;
-    make 1 (shift_left_mag !a shift)
-  end
 
 let num_bits x = num_bits_mag x.mag
 let testbit x i = testbit_mag x.mag i
@@ -644,15 +634,17 @@ module Acc = struct
   (* E2 combinatorial encoder spends its time here).                  *)
   (* ---------------------------------------------------------------- *)
 
+  (* A loop, not a local recursive function: the closure would be the
+     only allocation of each binary-gcd step. *)
   let compare_acc a b =
     if a.len <> b.len then Stdlib.compare a.len b.len
-    else
-      let rec go i =
-        if i < 0 then 0
-        else if a.mag.(i) <> b.mag.(i) then Stdlib.compare a.mag.(i) b.mag.(i)
-        else go (i - 1)
-      in
-      go (a.len - 1)
+    else begin
+      let i = ref (a.len - 1) in
+      while !i >= 0 && a.mag.(!i) = b.mag.(!i) do
+        decr i
+      done;
+      if !i < 0 then 0 else Stdlib.compare a.mag.(!i) b.mag.(!i)
+    end
 
   let add_acc a b =
     let n = Stdlib.max a.len b.len in
@@ -806,6 +798,56 @@ module Acc = struct
       Float.log2 v +. float_of_int ((Stdlib.max 0 (a.len - 2)) * base_bits)
     end
 end
+
+(* Trailing zero bits of a non-empty magnitude. *)
+let ctz_mag a =
+  let i = ref 0 in
+  while a.(!i) = 0 do
+    incr i
+  done;
+  let rec tz v acc = if v land 1 = 1 then acc else tz (v lsr 1) (acc + 1) in
+  (!i * base_bits) + tz a.(!i) 0
+
+let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
+
+(* Binary (Stein) GCD on magnitudes, run in place on two accumulators
+   private to the call — no module-level scratch, since [Par] runs
+   exact code on several domains. Each step subtracts the smaller odd
+   operand from the larger and strips the difference's trailing zeros,
+   both in place, so a whole gcd allocates the two buffers and its
+   result. Word-size operands drop to native-int Euclid. *)
+let gcd a b =
+  if is_zero a then abs b
+  else if is_zero b then abs a
+  else if num_bits a <= 62 && num_bits b <= 62 then
+    of_int (int_gcd (to_int_exn (abs a)) (to_int_exn (abs b)))
+  else begin
+    let odd_part x =
+      let z = ctz_mag x.mag in
+      let acc = Acc.of_t (abs x) in
+      Acc.shift_right_exact acc z;
+      (acc, z)
+    in
+    (* fits 62 bits: at most two limbs, or three with a 2-bit top *)
+    let fits (x : Acc.acc) = x.len < 3 || (x.len = 3 && x.mag.(2) < 4) in
+    let rec loop (x : Acc.acc) (y : Acc.acc) =
+      if fits x && fits y then
+        of_int
+          (int_gcd (to_int_exn (Acc.to_t x)) (to_int_exn (Acc.to_t y)))
+      else
+        let c = Acc.compare_acc x y in
+        if c = 0 then Acc.to_t x
+        else if c < 0 then loop y x
+        else begin
+          (* x - y is positive and even: both are odd *)
+          Acc.sub_acc x y;
+          Acc.shift_right_exact x (ctz_mag x.mag);
+          loop x y
+        end
+    in
+    let x, za = odd_part a and y, zb = odd_part b in
+    shift_left (loop x y) (Stdlib.min za zb)
+  end
 
 let binomial_acc n k =
   (* Same iteration as {!binomial}, on an in-place accumulator: two

@@ -58,6 +58,8 @@ val mul_int : t -> int -> t
 val div_mod : t -> t -> t * t
 (** [div_mod a b] is [(q, r)] with [a = q*b + r], [0 <= |r| < |b|], and
     [r] carrying the sign of [a] (truncated division, like [Stdlib.( / )]).
+    Single-limb divisors take a word-wise loop; longer ones Knuth's
+    Algorithm D, one quotient limb per step, O(limbs(q) * limbs(b)).
     @raise Division_by_zero if [b] is zero. *)
 
 val div : t -> t -> t
@@ -67,13 +69,20 @@ val pow : t -> int -> t
 (** [pow x n] for [n >= 0]. @raise Invalid_argument on negative exponent. *)
 
 val shift_left : t -> int -> t
+
 val shift_right : t -> int -> t
+(** [shift_right x n] shifts the magnitude right by [n >= 0] bits and
+    keeps the sign: negative values truncate toward zero, so
+    [shift_right (of_int (-5)) 1] is [-2] (not [-3] as an arithmetic
+    shift would give), and it is zero once every bit is shifted out. *)
 
 val gcd : t -> t -> t
 (** Greatest common divisor of the absolute values; [gcd zero zero = zero].
-    Binary (Stein) GCD with a native-int Euclid fast path for word-size
-    operands; differentially tested against the reference Euclid
-    implementation in {!For_testing}. *)
+    Binary (Stein) GCD run in place on two buffers private to the call
+    (safe to call from several domains at once), with a native-int
+    Euclid fast path once both operands fit 62 bits; differentially
+    tested against the reference Euclid implementation in
+    {!For_testing}. *)
 
 (** {1 Number-theoretic helpers} *)
 

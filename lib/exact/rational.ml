@@ -86,7 +86,20 @@ let to_float = function
       (* |n|, d <= 2^30 < 2^53: both conversions and the division are
          exactly the floats the bigint path would produce *)
       float_of_int n /. float_of_int d
-  | B { num; den } -> Bigint.to_float num /. Bigint.to_float den
+  | B { num; den } ->
+      let fn = Bigint.to_float num and fd = Bigint.to_float den in
+      if Float.is_finite fn && Float.is_finite fd then fn /. fd
+      else begin
+        (* A side past ~2^1024 would make this inf/inf = NaN or an
+           overflowed quotient: divide the top 64 bits of each side and
+           put the dropped bits back as a power of two. *)
+        let top x =
+          let s = Stdlib.max 0 (Bigint.num_bits x - 64) in
+          (Bigint.to_float (Bigint.shift_right x s), s)
+        in
+        let fn, sn = top num and fd, sd = top den in
+        Float.ldexp (fn /. fd) (sn - sd)
+      end
 
 let of_float_dyadic f =
   if not (Float.is_finite f) then invalid_arg "Rational.of_float_dyadic";

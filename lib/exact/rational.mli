@@ -34,6 +34,12 @@ val num : t -> Bigint.t
 val den : t -> Bigint.t
 
 val to_float : t -> float
+(** The quotient of the two terms as floats while both are finite.
+    When a term exceeds float range, both are cut to their top 64 bits
+    and the quotient is rescaled by the dropped power of two, so a
+    moderate value with huge terms stays finite (never [nan]); only a
+    value itself outside float range gives [infinity] or [0.]. *)
+
 val of_float_dyadic : float -> t
 (** Exact dyadic rational equal to the given (finite) float.
     @raise Invalid_argument on nan/infinite input. *)

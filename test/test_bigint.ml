@@ -103,7 +103,12 @@ let t_gcd () =
 let t_shift_right () =
   check_b ~msg:"(2^100) >> 37" (B.shift_left B.one 63)
     (B.shift_right (B.shift_left B.one 100) 37);
-  check_b ~msg:"5 >> 10" B.zero (B.shift_right (B.of_int 5) 10)
+  check_b ~msg:"5 >> 10" B.zero (B.shift_right (B.of_int 5) 10);
+  (* negative values truncate their magnitude toward zero *)
+  check_b ~msg:"-5 >> 1" (B.of_int (-2)) (B.shift_right (B.of_int (-5)) 1);
+  check_b ~msg:"-(2^100 + 1) >> 100" B.minus_one
+    (B.shift_right (B.neg (B.add (B.shift_left B.one 100) B.one)) 100);
+  check_b ~msg:"-5 >> 10" B.zero (B.shift_right (B.of_int (-5)) 10)
 
 let t_num_bits () =
   Alcotest.(check int) "bits 0" 0 (B.num_bits B.zero);
@@ -167,6 +172,119 @@ let prop_divmod_big =
       let q, r = B.div_mod a b in
       B.equal a (B.add (B.mul q b) r)
       && B.compare r b < 0 && B.sign r >= 0)
+
+(* --- multi-limb division ------------------------------------------ *)
+(* [div_mod] runs Knuth's Algorithm D for divisors of two or more limbs.
+   The division identity a = q*b + r, |r| < |b|, r carrying a's sign,
+   fixes q and r, so it is the whole specification. The generators
+   below favour the limbs where the algorithm has edge cases: top
+   limbs 1 and 2^30 - 1 (normalisation shifts 29 and 0), 2^29 (shift 0,
+   smallest normalised top), and runs of all-ones limbs (trial digits
+   that need correcting). *)
+
+let max_limb = (1 lsl 30) - 1
+
+(* A magnitude from explicit limbs, least significant first. *)
+let of_limbs limbs =
+  List.fold_right
+    (fun l acc -> B.add (B.shift_left acc 30) (B.of_int l))
+    limbs B.zero
+
+let division_identity a b =
+  let q, r = B.div_mod a b in
+  B.equal a (B.add (B.mul q b) r)
+  && B.compare (B.abs r) (B.abs b) < 0
+  && (B.is_zero r || B.sign r = B.sign a)
+  && B.equal q (B.div a b)
+  && B.equal r (B.rem a b)
+
+let signed_variants a b =
+  [ (a, b); (B.neg a, b); (a, B.neg b); (B.neg a, B.neg b) ]
+
+(* [lo]..[hi] limbs; the top limb is nonzero, so the count is exact. *)
+let magnitude_gen lo hi =
+  let open QCheck.Gen in
+  let limb =
+    frequency
+      [ (4, int_bound max_limb); (1, return 0); (2, return max_limb);
+        (1, return 1); (1, return (1 lsl 29)) ]
+  in
+  let top =
+    oneof
+      [ return 1; return (1 lsl 29); return max_limb; int_range 1 max_limb ]
+  in
+  int_range lo hi >>= fun n ->
+  frequency
+    [ (3, list_repeat (n - 1) limb);
+      (1, list_repeat (n - 1) (return max_limb)) ]
+  >>= fun low -> top >|= fun t -> of_limbs (low @ [ t ])
+
+let print_pair (a, b) = B.to_string a ^ " / " ^ B.to_string b
+
+let prop_divmod_multi_limb =
+  qtest "signed division identity, 2-12 limb divisors" ~count:300
+    (QCheck.make ~print:print_pair
+       (QCheck.Gen.pair (magnitude_gen 1 40) (magnitude_gen 2 12)))
+    (fun (a, b) ->
+      List.for_all (fun (a, b) -> division_identity a b) (signed_variants a b))
+
+let prop_divmod_near_multiple =
+  (* a = q0*b + r0 with r0 close to b: the remainder's top limbs come
+     close to the divisor's, where trial digits overshoot *)
+  qtest "division identity next to multiples of the divisor" ~count:200
+    (QCheck.make ~print:print_pair
+       QCheck.Gen.(
+         triple (magnitude_gen 1 20) (magnitude_gen 2 8) (int_range 0 3)
+         >|= fun (q0, b, k) ->
+         (B.add (B.mul q0 b) (B.sub b (B.of_int (k + 1))), b)))
+    (fun (a, b) ->
+      let q, r = B.div_mod a b in
+      B.equal r (B.sub a (B.mul q b))
+      && List.for_all
+           (fun (a, b) -> division_identity a b)
+           (signed_variants a b))
+
+let t_div_limb_boundaries () =
+  (* every divisor shape [fill; ...; fill; top] for 2-5 limbs against
+     all-ones dividends and their neighbours *)
+  List.iter
+    (fun top ->
+      List.iter
+        (fun fill ->
+          for lb = 2 to 5 do
+            let b = of_limbs (List.init (lb - 1) (fun _ -> fill) @ [ top ]) in
+            for la = lb - 1 to lb + 4 do
+              let ones = of_limbs (List.init la (fun _ -> max_limb)) in
+              List.iter
+                (fun a ->
+                  List.iter
+                    (fun (a, b) ->
+                      if not (division_identity a b) then
+                        Alcotest.failf "identity fails for %s"
+                          (print_pair (a, b)))
+                    (signed_variants a b))
+                [ ones; B.add ones B.one; B.sub ones B.one;
+                  B.sub (B.mul ones b) B.one ]
+            done
+          done)
+        [ 0; 1; 1 lsl 29; max_limb ])
+    [ 1; 1 lsl 29; max_limb ]
+
+let t_div_add_back () =
+  (* Found by search: dividing limbs [1; 2^30-1; 2^30-1; 1] by
+     [1; 1; 1] (least significant first) makes the corrected trial digit
+     one too large, so Algorithm D takes its add-back step. *)
+  let a = of_limbs [ 1; max_limb; max_limb; 1 ] in
+  let b = of_limbs [ 1; 1; 1 ] in
+  Alcotest.(check string) "dividend" "2475880078570760548724506625"
+    (B.to_string a);
+  let q, r = B.div_mod a b in
+  Alcotest.(check string) "quotient 2^31 - 3" "2147483645" (B.to_string q);
+  Alcotest.(check string) "remainder" "1152921504606846980" (B.to_string r);
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool) (print_pair (a, b)) true (division_identity a b))
+    (signed_variants a b)
 
 let prop_shift_is_mul_pow2 =
   qtest "shift_left = mul 2^n"
@@ -277,15 +395,40 @@ let t_gcd_binary_matches_euclid_edges () =
 
 let prop_gcd_binary_matches_euclid =
   (* random multi-limb operands sharing a planted common factor, so the
-     result is itself often multi-limb *)
+     result is itself often multi-limb; lengths up to 64 limbs, and
+     every fourth case pairs a 1-2 limb operand with a 40-64 limb one *)
   qtest "binary gcd = Euclid gcd on big operands" ~count:60
-    (QCheck.triple (QCheck.int_range 1 8) (QCheck.int_range 1 8)
-       (QCheck.int_range 0 1000000))
-    (fun (la, lb, salt) ->
-      let g = value_of_limbs ~salt:(salt + 3) ((la + lb) / 2) in
+    (* no shrinker: shrinking 64-limb cases one step at a time is slow *)
+    (QCheck.make
+       ~print:(fun (la, lb, salt, unequal) ->
+         Printf.sprintf "la=%d lb=%d salt=%d unequal=%b" la lb salt unequal)
+       QCheck.Gen.(
+         quad (int_range 1 64) (int_range 1 64) (int_range 0 1000000) bool))
+    (fun (la, lb, salt, unequal) ->
+      let la, lb =
+        if unequal && salt land 1 = 0 then (1 + (la mod 2), 40 + (lb mod 25))
+        else (la, lb)
+      in
+      let g = value_of_limbs ~salt:(salt + 3) (1 + (salt mod 8)) in
       let a = B.mul g (value_of_limbs ~salt la) in
       let b = B.mul g (value_of_limbs ~salt:(salt + 11) lb) in
       B.equal (B.gcd a b) (BT.gcd_euclid a b))
+
+let t_gcd_unequal_lengths () =
+  (* a 64-limb operand against 1-3 limb ones, both orders, with and
+     without a planted common factor *)
+  let long = value_of_limbs ~salt:5 64 in
+  List.iter
+    (fun ls ->
+      let short = value_of_limbs ~salt:(ls * 37) ls in
+      List.iter
+        (fun (a, b) ->
+          check_b
+            ~msg:(Printf.sprintf "gcd 64 x %d limbs" ls)
+            (BT.gcd_euclid a b) (B.gcd a b))
+        [ (long, short); (short, long);
+          (B.mul long short, short); (B.mul long short, B.shift_left short 45) ])
+    [ 1; 2; 3 ]
 
 let prop_gcd_shifted =
   (* heavy shared powers of two exercise the binary GCD's ctz paths *)
@@ -461,6 +604,10 @@ let suite =
     prop_mul_commutative_big;
     prop_string_roundtrip_big;
     prop_divmod_big;
+    prop_divmod_multi_limb;
+    prop_divmod_near_multiple;
+    quick "division at limb boundaries" t_div_limb_boundaries;
+    quick "division add-back step" t_div_add_back;
     prop_shift_is_mul_pow2;
     prop_gcd_divides;
     quick "limb-count probes" t_limb_probe;
@@ -468,6 +615,7 @@ let suite =
     prop_karatsuba_random_sizes;
     quick "binary gcd = Euclid at word-size edges" t_gcd_binary_matches_euclid_edges;
     prop_gcd_binary_matches_euclid;
+    quick "gcd = Euclid on very unequal lengths" t_gcd_unequal_lengths;
     prop_gcd_shifted;
     prop_acc_mul_small_matches;
     prop_acc_mul_div_roundtrip;

@@ -53,6 +53,26 @@ let t_log2 () =
   check_float ~msg:"log2 tiny" (-2000.) (R.log2 (R.pow R.half 2000));
   check_float ~msg:"log2 huge" 3000. (R.log2 (R.of_bigint (B.pow B.two 3000)))
 
+let t_to_float_huge_terms () =
+  (* relative error 1e-12; written so that nan fails *)
+  let close ~msg expected actual =
+    if not (Float.abs (actual -. expected) <= 1e-12 *. Float.abs expected)
+    then Alcotest.failf "%s: expected %.17g, got %.17g" msg expected actual
+  in
+  (* both terms past 2^1024: the plain quotient of floats is inf/inf *)
+  let three = B.of_int 3 in
+  let x = R.make (B.pow three 700) (B.shift_left B.one 1100) in
+  let expected = Float.pow 2. ((700. *. Float.log2 3.) -. 1100.) in
+  close ~msg:"3^700 / 2^1100" expected (R.to_float x);
+  close ~msg:"-3^700 / 2^1100" (-.expected) (R.to_float (R.neg x));
+  Alcotest.(check (float 0.)) "(2/3)^2000 underflows to 0" 0.
+    (R.to_float (R.pow (R.of_ints 2 3) 2000));
+  (* only the numerator past float range: inf / finite before *)
+  let z = R.make (B.shift_left B.one 1100) (B.pow three 600) in
+  close ~msg:"2^1100 / 3^600"
+    (Float.pow 2. (1100. -. (600. *. Float.log2 3.)))
+    (R.to_float z)
+
 let t_sum () =
   check_rational ~msg:"sum thirds" R.one
     (R.sum [ R.of_ints 1 3; R.of_ints 1 3; R.of_ints 1 3 ])
@@ -235,6 +255,7 @@ let suite =
     quick "zero denominators" t_zero_den;
     quick "of_float_dyadic" t_of_float_dyadic;
     quick "log2" t_log2;
+    quick "to_float with terms past float range" t_to_float_huge_terms;
     quick "sum" t_sum;
     prop_add_comm;
     prop_add_assoc;
