@@ -22,6 +22,13 @@ val create : k:int -> t
 
 val players : t -> int
 
+val uncharged_fork : t -> t
+(** A copy holding the same writes, in O(k): later posts to either board
+    do not show on the other. Posts to the fork emit no [Broadcast]
+    trace event and bump no ["board.*"] metric, so it can hold
+    speculative writes (the pipelined [Netsim.Board_emu] computes a
+    wave's payloads on one) without charging them twice. *)
+
 val post : t -> player:int -> ?label:string -> Coding.Bitbuf.Writer.t -> unit
 (** Append a write, freezing the writer in O(1) (it cannot be appended
     to afterwards). @raise Invalid_argument for an out-of-range

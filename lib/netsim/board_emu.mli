@@ -40,9 +40,9 @@ type stats = {
   drops : int;  (** messages eaten by the drop fault *)
   crashed : int;  (** players dead by the end of the run *)
   waves : int;
-      (** network barriers paid: quiescence waits, one per slot
-          sequentially, one per wave when pipelined — the
-          simulated-network-depth measure E15 reports *)
+      (** network barriers paid: quiescence waits, one per wave (one
+          per slot without a certificate) — the simulated-network-depth
+          measure E15 reports *)
 }
 
 type stall_reason =
@@ -92,18 +92,19 @@ val run :
     [cert] switches on the {e pipelined} mode: all RBC instances of a
     certificate wave go in flight concurrently over one shared network,
     with a quiescence barrier only between waves (slots past the
-    analyzed range run as singleton waves; no certificate = the
-    sequential per-slot path). Payloads are still computed in slot
-    order, one [speak] per slot, against a scratch replay of the
-    committed board, so {e fault-free} pipelined runs stay
-    byte-identical to {!Blackboard.Engine.run}; the {!Hbcheck} oracle
-    watches the actual launch/deliver order and the run hard-errors
-    ([Failure]) if the certificate let a slot launch before a slot it
-    reads was delivered at its speaker. A crashed speaker stalls its
-    wave at its slot with the same typed [Stalled] outcome as the
-    sequential mode; slots of the wave before it are still committed.
-    Under fault injection the two modes may diverge (crash budgets and
-    drops hit a different interleaving); byte-identity is only
-    contracted fault-free. With tracing on, [Wave_start]/[Wave_end]
-    events bracket each wave.
+    analyzed range run as singleton waves; no certificate = every slot
+    its own wave). Payloads are still computed in slot order, one
+    [speak] per slot, later slots of a wave on an uncharged fork of the
+    committed board ({!Blackboard.Board.uncharged_fork}), so
+    {e fault-free} pipelined runs stay byte-identical to
+    {!Blackboard.Engine.run} and each write is traced once; the
+    {!Hbcheck} oracle watches the actual launch/deliver order and the
+    run hard-errors ([Failure]) if the certificate let a slot launch
+    before a slot it reads was delivered at its speaker. A crashed
+    speaker stalls its wave at its slot with the same typed [Stalled]
+    outcome as without a certificate; slots of the wave before it are
+    still committed. Under fault injection the two modes may diverge
+    (crash budgets and drops hit a different interleaving);
+    byte-identity is only contracted fault-free. With tracing on,
+    [Wave_start]/[Wave_end] events bracket each wave.
     @raise Invalid_argument if [cert] fails {!Hbcheck.validate_cert}. *)

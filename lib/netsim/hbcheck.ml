@@ -76,25 +76,24 @@ let validate_cert c =
 
 type race = { slot : int; speaker : int; missing : int }
 
+(* Launch and delivery flags live in flat byte tables grown by doubling:
+   the oracle watches every async run, so recording a launch or a
+   delivery allocates nothing in the steady state. *)
 type t = {
   cert : cert;
   k : int;
-  delivered : (int * int, unit) Hashtbl.t;  (** (slot, player) delivered *)
-  launched : (int, unit) Hashtbl.t;
+  mutable delivered : Bytes.t;  (** flag at [slot * k + player] *)
+  mutable launched : Bytes.t;  (** flag at [slot] *)
   mutable races : race list;
-  mutable launches : int;
-  mutable deliveries : int;
 }
 
 let create cert ~k =
   {
     cert;
     k;
-    delivered = Hashtbl.create 64;
-    launched = Hashtbl.create 16;
+    delivered = Bytes.make (16 * k) '\000';
+    launched = Bytes.make 16 '\000';
     races = [];
-    launches = 0;
-    deliveries = 0;
   }
 
 let race_message { slot; speaker; missing } =
@@ -103,27 +102,51 @@ let race_message { slot; speaker; missing } =
      was delivered at that player"
     slot speaker missing
 
-(* Slots past the analyzed range are treated as reading every earlier
-   slot — the conservative fallback the pipelined runtime also applies
-   (it runs them as singleton waves). *)
-let reads_of t slot =
-  if slot < t.cert.slots then t.cert.reads.(slot)
-  else Array.init slot Fun.id
+let grown b n =
+  let len = Bytes.length b in
+  if n <= len then b
+  else begin
+    let b' = Bytes.make (max n (2 * len)) '\000' in
+    Bytes.blit b 0 b' 0 len;
+    b'
+  end
+
+let flag b i = i < Bytes.length b && Bytes.get b i <> '\000'
+
+(* The delivered flag of [(slot, player)]; an out-of-range player would
+   alias another slot's flag. *)
+let index t ~slot ~player =
+  if slot < 0 || player < 0 || player >= t.k then
+    invalid_arg "Hbcheck: slot or player out of range";
+  (slot * t.k) + player
+
+let check_read t ~slot ~speaker s =
+  if not (flag t.delivered (index t ~slot:s ~player:speaker)) then
+    t.races <- { slot; speaker; missing = s } :: t.races
 
 let note_launch t ~slot ~speaker =
-  if not (Hashtbl.mem t.launched slot) then begin
-    Hashtbl.replace t.launched slot ();
-    t.launches <- t.launches + 1;
-    Array.iter
-      (fun s ->
-        if not (Hashtbl.mem t.delivered (s, speaker)) then
-          t.races <- { slot; speaker; missing = s } :: t.races)
-      (reads_of t slot)
+  if not (flag t.launched slot) then begin
+    t.launched <- grown t.launched (slot + 1);
+    Bytes.set t.launched slot '\001';
+    if slot < t.cert.slots then begin
+      let reads = t.cert.reads.(slot) in
+      for i = 0 to Array.length reads - 1 do
+        check_read t ~slot ~speaker reads.(i)
+      done
+    end
+    else
+      (* Slots past the analyzed range are treated as reading every
+         earlier slot — the conservative fallback the pipelined runtime
+         also applies (it runs them as singleton waves). *)
+      for s = 0 to slot - 1 do
+        check_read t ~slot ~speaker s
+      done
   end
 
 let note_deliver t ~slot ~player =
-  Hashtbl.replace t.delivered (slot, player) ();
-  t.deliveries <- t.deliveries + 1
+  let i = index t ~slot ~player in
+  t.delivered <- grown t.delivered (i + 1);
+  Bytes.set t.delivered i '\001'
 
 let observe t payload =
   match payload with

@@ -45,7 +45,9 @@ type t
 val create : cert -> k:int -> t
 val note_launch : t -> slot:int -> speaker:int -> unit
 (** Record the initial SEND fan-out of a slot's RBC instance
-    (idempotent per slot); checks the slot's read-set at this moment. *)
+    (idempotent per slot); checks the slot's read-set at this moment.
+    A player outside [\[0, k)] raises [Invalid_argument] here and in
+    {!note_deliver} wherever it would index a delivery flag. *)
 
 val note_deliver : t -> slot:int -> player:int -> unit
 

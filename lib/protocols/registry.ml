@@ -271,13 +271,6 @@ let run_on_board_compiled (Entry { name; players; domain; _ } as e) ~seed =
   end;
   { output; board; input_indices; msg_rounds = !rounds }
 
-type engine = Tree_walk | Compiled
-
-let run ?(engine = Tree_walk) e ~seed =
-  match engine with
-  | Tree_walk -> run_on_board e ~seed
-  | Compiled -> run_on_board_compiled e ~seed
-
 (* ------------------------------------------------------------------ *)
 (* Engine-hosted form: the entry's tree as a board-driven schedule and *)
 (* speak/observe players, so registry protocols run under             *)

@@ -86,12 +86,6 @@ val run_on_board_compiled : entry -> seed:int -> run
     identically; the CI bench-smoke gate and [test_compile] check the
     resulting boards with {!Blackboard.Board.equal}. *)
 
-type engine = Tree_walk | Compiled
-
-val run : ?engine:engine -> entry -> seed:int -> run
-(** [run ~engine e ~seed] dispatches to {!run_on_board} or
-    {!run_on_board_compiled}. Default [Tree_walk]. *)
-
 type hosted = {
   k : int;
   schedule : Blackboard.Board.t -> int option;

@@ -538,6 +538,31 @@ let t_hbcheck_observe_replay () =
   Alcotest.(check bool) "chain certificate: same stream shows races" false
     (Netsim.Hbcheck.ok (replay (Netsim.Hbcheck.sequential_cert ~slots:4)))
 
+let t_hbcheck_player_range () =
+  (* Delivery flags are indexed by slot * k + player: a player outside
+     [0, k) would alias another slot's flag, so it is refused. *)
+  let hb = Netsim.Hbcheck.create (Netsim.Hbcheck.sequential_cert ~slots:0) ~k:4 in
+  Alcotest.check_raises "player k refused"
+    (Invalid_argument "Hbcheck: slot or player out of range") (fun () ->
+      Netsim.Hbcheck.note_deliver hb ~slot:0 ~player:4);
+  Alcotest.check_raises "negative speaker refused"
+    (Invalid_argument "Hbcheck: slot or player out of range") (fun () ->
+      Netsim.Hbcheck.note_launch hb ~slot:1 ~speaker:(-1));
+  Netsim.Hbcheck.note_deliver hb ~slot:0 ~player:3;
+  Netsim.Hbcheck.note_launch hb ~slot:1 ~speaker:3;
+  Netsim.Hbcheck.note_launch hb ~slot:2 ~speaker:3;
+  Alcotest.(check (list int)) "slot 2 misses slot 1 at player 3" [ 1 ]
+    (List.map (fun r -> r.Netsim.Hbcheck.missing) (Netsim.Hbcheck.races hb));
+  (* Past the initial table: flags survive the doubling. *)
+  for slot = 1 to 99 do
+    Netsim.Hbcheck.note_deliver hb ~slot ~player:3
+  done;
+  Netsim.Hbcheck.note_launch hb ~slot:100 ~speaker:3;
+  Netsim.Hbcheck.note_launch hb ~slot:101 ~speaker:2;
+  Alcotest.(check int) "slot 100 reads a delivered prefix; slot 101 misses all"
+    (1 + 101)
+    (List.length (Netsim.Hbcheck.races hb))
+
 (* ------------------------------------------------------------------ *)
 (* Obs accounting                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -580,6 +605,437 @@ let t_obs_event_accounting () =
   | Ok (Emu.Stalled _), _ -> Alcotest.fail "unexpected stall"
   | Error err, _ -> Alcotest.fail (Emu.error_message err)
 
+let t_obs_board_accounting () =
+  (* Every committed write is charged once: for every entry, with and
+     without a certificate, the traced [Broadcast] events and the
+     ["board.bits"] metric add up to the delivered board. A pipelined
+     wave computes its later payloads on an uncharged fork, so they are
+     not charged a second time. *)
+  List.iter
+    (fun e ->
+      List.iter
+        (fun (mode, cert) ->
+          let bits = ref 0 and events = ref 0 in
+          let sink =
+            Obs.Sink.custom (fun ev ->
+                match ev.Obs.Event.payload with
+                | Obs.Event.Broadcast { bits = b; _ } ->
+                    incr events;
+                    bits := !bits + b
+                | _ -> ())
+          in
+          let metrics = Obs.Metrics.create () in
+          Obs.Metrics.install metrics;
+          let result =
+            Fun.protect ~finally:Obs.Metrics.uninstall (fun () ->
+                Obs.Trace.with_sink sink (fun () ->
+                    run_async_pipe e ~seed:3 ~net_seed:17 ~faults:Fault.none
+                      ~f:(f_for_entry e) ~cert))
+          in
+          let what = Printf.sprintf "%s (%s): " (Reg.name e) mode in
+          match result with
+          | Ok (Emu.Delivered { board; _ }), _ ->
+              Alcotest.(check int)
+                (what ^ "Broadcast bits = board bits")
+                (B.total_bits board) !bits;
+              Alcotest.(check int)
+                (what ^ "Broadcast events = writes")
+                (B.write_count board) !events;
+              Alcotest.(check int)
+                (what ^ "board.bits metric = board bits")
+                (B.total_bits board)
+                (Obs.Metrics.counter_value
+                   (Obs.Metrics.snapshot metrics)
+                   "board.bits")
+          | Ok (Emu.Stalled _), _ -> Alcotest.failf "%sunexpected stall" what
+          | Error err, _ -> Alcotest.failf "%s%s" what (Emu.error_message err))
+        [ ("no certificate", None); ("pipelined", cert_for e) ])
+    (Reg.all ())
+
+(* ------------------------------------------------------------------ *)
+(* Fault pins                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Fault-injected runs held across commits, draw for draw: the entries
+   with k >= 4 at f = 1 and two n = 2 DISJ trees at k = 7, f = 2, under
+   six fault plans, each with and without the certificate (the analysis
+   withholds one for the k = 7 broadcast tree, so its two modes
+   coincide). A row pins the outcome (writes, or the stalled slot,
+   speaker and reason), every [stats] field in record order and a digest
+   of the board. The expected rows were recorded once and are never
+   regenerated: a changed row is a changed execution. *)
+let pin_cases () =
+  let domain2 = Array.of_list (Proto.Semantics.all_bit_inputs 2) in
+  let disj name mk =
+    Reg.entry ~name ~players:7 ~spec:Protocols.Hard_dist.disj_fn
+      ~domain:domain2
+      (lazy (mk ~n:2 ~k:7))
+  in
+  List.map
+    (fun n -> Option.get (Reg.find n))
+    [
+      "and/sequential"; "and/broadcast-all"; "and/truncated"; "and/noisy";
+      "and/constant"; "compress/xor-coin-sequential";
+    ]
+  @ [
+      disj "disj/seq/k=7" Protocols.Disj_trees.sequential;
+      disj "disj/bcast/k=7" Protocols.Disj_trees.broadcast_all;
+    ]
+
+let pin_plans ~seed ~k =
+  let p = seed mod k and s = 4 + (3 * seed) in
+  [
+    Printf.sprintf "crash:%d" p;
+    Printf.sprintf "crash:%d@%d" p s;
+    "drop:0.05";
+    "delay:3";
+    Printf.sprintf "equiv:%d" p;
+    Printf.sprintf "crash:%d@%d,drop:0.03" p s;
+  ]
+
+let pin_row e ~cert ~seed ~plan =
+  let h = Reg.hosted e ~seed in
+  let f = (h.Reg.k - 1) / 3 in
+  let faults = match Fault.parse plan with Ok p -> p | Error m -> failwith m in
+  let stats (s : Emu.stats) =
+    Printf.sprintf "%d/%d/%d/%d/%d/%d/%d/%d" s.net_bits s.net_messages s.sends
+      s.echoes s.readies s.drops s.crashed s.waves
+  in
+  let digest b =
+    String.sub (Digest.to_hex (Digest.string (Format.asprintf "%a" B.pp b))) 0 12
+  in
+  match
+    Emu.run ~k:h.Reg.k ~schedule:h.Reg.schedule ~players:h.Reg.players ?cert
+      ~config:{ Emu.f; seed = (10 * seed) + 7; faults }
+      ()
+  with
+  | exception Failure m -> "raised " ^ m
+  | Ok (Emu.Delivered { board; writes; stats = s }) ->
+      Printf.sprintf "delivered %d %s %s" writes (stats s) (digest board)
+  | Ok (Emu.Stalled { board; delivered_slots; speaker; reason; stats = s }) ->
+      Printf.sprintf "stalled %d spk %d %s %s %s" delivered_slots speaker
+        (match reason with
+        | Emu.Speaker_crashed -> "crashed"
+        | Emu.No_quorum -> "no-quorum")
+        (stats s) (digest board)
+  | Error err -> "error " ^ Emu.error_message err
+
+let fault_pins =
+  [
+    ("and/sequential s1 crash:1 seq", "stalled 1 spk 1 crashed 252/36/4/16/16/0/1/1 60e1e8f8d97b");
+    ("and/sequential s1 crash:1 pipe", "stalled 1 spk 1 crashed 252/36/4/16/16/0/1/1 60e1e8f8d97b");
+    ("and/sequential s1 crash:1@7 seq", "stalled 1 spk 1 crashed 301/43/4/20/19/0/1/1 60e1e8f8d97b");
+    ("and/sequential s1 crash:1@7 pipe", "stalled 1 spk 1 crashed 301/43/4/20/19/0/1/1 60e1e8f8d97b");
+    ("and/sequential s1 drop:0.05 seq", "delivered 2 677/85/8/40/37/3/0/2 316b9a6d378f");
+    ("and/sequential s1 drop:0.05 pipe", "delivered 2 677/85/8/40/37/3/0/2 316b9a6d378f");
+    ("and/sequential s1 delay:3 seq", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/sequential s1 delay:3 pipe", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/sequential s1 equiv:1 seq", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/sequential s1 equiv:1 pipe", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/sequential s1 crash:1@7,drop:0.03 seq", "stalled 1 spk 1 crashed 301/43/4/20/19/0/1/1 60e1e8f8d97b");
+    ("and/sequential s1 crash:1@7,drop:0.03 pipe", "stalled 1 spk 1 crashed 301/43/4/20/19/0/1/1 60e1e8f8d97b");
+    ("and/sequential s2 crash:2 seq", "delivered 2 576/72/8/32/32/0/1/2 316b9a6d378f");
+    ("and/sequential s2 crash:2 pipe", "delivered 2 576/72/8/32/32/0/1/2 316b9a6d378f");
+    ("and/sequential s2 crash:2@10 seq", "delivered 2 650/82/8/38/36/0/1/2 316b9a6d378f");
+    ("and/sequential s2 crash:2@10 pipe", "delivered 2 650/82/8/38/36/0/1/2 316b9a6d378f");
+    ("and/sequential s2 drop:0.05 seq", "delivered 2 665/83/8/36/39/5/0/2 316b9a6d378f");
+    ("and/sequential s2 drop:0.05 pipe", "delivered 2 665/83/8/36/39/5/0/2 316b9a6d378f");
+    ("and/sequential s2 delay:3 seq", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/sequential s2 delay:3 pipe", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/sequential s2 equiv:2 seq", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/sequential s2 equiv:2 pipe", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/sequential s2 crash:2@10,drop:0.03 seq", "delivered 2 625/79/8/35/36/3/1/2 316b9a6d378f");
+    ("and/sequential s2 crash:2@10,drop:0.03 pipe", "delivered 2 625/79/8/35/36/3/1/2 316b9a6d378f");
+    ("and/sequential s3 crash:3 seq", "delivered 1 252/36/4/16/16/0/1/1 90643eb27a11");
+    ("and/sequential s3 crash:3 pipe", "delivered 1 252/36/4/16/16/0/1/1 90643eb27a11");
+    ("and/sequential s3 crash:3@13 seq", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/sequential s3 crash:3@13 pipe", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/sequential s3 drop:0.05 seq", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/sequential s3 drop:0.05 pipe", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/sequential s3 delay:3 seq", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/sequential s3 delay:3 pipe", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/sequential s3 equiv:3 seq", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/sequential s3 equiv:3 pipe", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/sequential s3 crash:3@13,drop:0.03 seq", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/sequential s3 crash:3@13,drop:0.03 pipe", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/broadcast-all s1 crash:1 seq", "stalled 1 spk 1 crashed 147/21/3/9/9/0/1/1 447989572a9e");
+    ("and/broadcast-all s1 crash:1 pipe", "stalled 1 spk 1 crashed 147/21/3/9/9/0/1/1 447989572a9e");
+    ("and/broadcast-all s1 crash:1@7 seq", "stalled 1 spk 1 no-quorum 198/28/3/13/12/0/1/2 447989572a9e");
+    ("and/broadcast-all s1 crash:1@7 pipe", "delivered 4 790/88/12/40/36/0/1/1 e77578577606");
+    ("and/broadcast-all s1 drop:0.05 seq", "delivered 4 912/102/12/46/44/6/0/4 e77578577606");
+    ("and/broadcast-all s1 drop:0.05 pipe", "delivered 4 954/106/12/47/47/2/0/1 e77578577606");
+    ("and/broadcast-all s1 delay:3 seq", "delivered 4 972/108/12/48/48/0/0/4 e77578577606");
+    ("and/broadcast-all s1 delay:3 pipe", "delivered 4 972/108/12/48/48/0/0/1 e77578577606");
+    ("and/broadcast-all s1 equiv:1 seq", "delivered 4 972/108/12/48/48/0/0/4 e77578577606");
+    ("and/broadcast-all s1 equiv:1 pipe", "delivered 4 972/108/12/48/48/0/0/1 e77578577606");
+    ("and/broadcast-all s1 crash:1@7,drop:0.03 seq", "stalled 1 spk 1 no-quorum 198/28/3/13/12/0/1/2 447989572a9e");
+    ("and/broadcast-all s1 crash:1@7,drop:0.03 pipe", "stalled 3 spk 3 no-quorum 779/87/12/40/35/1/1/1 74b19da0f521");
+    ("and/broadcast-all s2 crash:2 seq", "stalled 2 spk 2 crashed 336/42/6/18/18/0/1/2 c49c339e8229");
+    ("and/broadcast-all s2 crash:2 pipe", "stalled 2 spk 2 crashed 336/42/6/18/18/0/1/1 c49c339e8229");
+    ("and/broadcast-all s2 crash:2@10 seq", "stalled 2 spk 2 crashed 414/52/6/24/22/0/1/2 c49c339e8229");
+    ("and/broadcast-all s2 crash:2@10 pipe", "delivered 4 813/91/12/43/36/0/1/1 e77578577606");
+    ("and/broadcast-all s2 drop:0.05 seq", "stalled 1 spk 1 no-quorum 400/50/6/23/21/4/0/2 447989572a9e");
+    ("and/broadcast-all s2 drop:0.05 pipe", "delivered 4 902/100/12/43/45/8/0/1 e77578577606");
+    ("and/broadcast-all s2 delay:3 seq", "delivered 4 972/108/12/48/48/0/0/4 e77578577606");
+    ("and/broadcast-all s2 delay:3 pipe", "delivered 4 972/108/12/48/48/0/0/1 e77578577606");
+    ("and/broadcast-all s2 equiv:2 seq", "stalled 2 spk 2 no-quorum 567/69/9/36/24/0/0/3 c49c339e8229");
+    ("and/broadcast-all s2 equiv:2 pipe", "stalled 2 spk 2 no-quorum 864/96/12/48/36/0/0/1 c49c339e8229");
+    ("and/broadcast-all s2 crash:2@10,drop:0.03 seq", "stalled 1 spk 1 no-quorum 389/49/6/23/20/3/1/2 447989572a9e");
+    ("and/broadcast-all s2 crash:2@10,drop:0.03 pipe", "stalled 0 spk 0 no-quorum 779/87/12/41/34/4/1/1 04e19e33d9aa");
+    ("and/broadcast-all s3 crash:3 seq", "stalled 3 spk 3 crashed 525/63/9/27/27/0/1/3 7a560263b9d0");
+    ("and/broadcast-all s3 crash:3 pipe", "stalled 3 spk 3 crashed 525/63/9/27/27/0/1/1 7a560263b9d0");
+    ("and/broadcast-all s3 crash:3@13 seq", "stalled 3 spk 3 crashed 630/76/9/34/33/0/1/3 7a560263b9d0");
+    ("and/broadcast-all s3 crash:3@13 pipe", "delivered 4 846/94/12/46/36/0/1/1 0e2c5324a811");
+    ("and/broadcast-all s3 drop:0.05 seq", "delivered 4 901/101/11/44/46/4/0/4 0e2c5324a811");
+    ("and/broadcast-all s3 drop:0.05 pipe", "delivered 4 945/105/12/47/46/3/0/1 0e2c5324a811");
+    ("and/broadcast-all s3 delay:3 seq", "delivered 4 972/108/12/48/48/0/0/4 0e2c5324a811");
+    ("and/broadcast-all s3 delay:3 pipe", "delivered 4 972/108/12/48/48/0/0/1 0e2c5324a811");
+    ("and/broadcast-all s3 equiv:3 seq", "delivered 4 972/108/12/48/48/0/0/4 0e2c5324a811");
+    ("and/broadcast-all s3 equiv:3 pipe", "delivered 4 972/108/12/48/48/0/0/1 0e2c5324a811");
+    ("and/broadcast-all s3 crash:3@13,drop:0.03 seq", "stalled 3 spk 3 crashed 621/75/9/34/32/1/1/3 7a560263b9d0");
+    ("and/broadcast-all s3 crash:3@13,drop:0.03 pipe", "stalled 0 spk 0 no-quorum 830/92/12/46/34/2/1/1 04e19e33d9aa");
+    ("and/truncated s1 crash:1 seq", "stalled 1 spk 1 crashed 252/36/4/16/16/0/1/1 60e1e8f8d97b");
+    ("and/truncated s1 crash:1 pipe", "stalled 1 spk 1 crashed 252/36/4/16/16/0/1/1 60e1e8f8d97b");
+    ("and/truncated s1 crash:1@7 seq", "stalled 1 spk 1 crashed 301/43/4/20/19/0/1/1 60e1e8f8d97b");
+    ("and/truncated s1 crash:1@7 pipe", "stalled 1 spk 1 crashed 301/43/4/20/19/0/1/1 60e1e8f8d97b");
+    ("and/truncated s1 drop:0.05 seq", "delivered 2 677/85/8/40/37/3/0/2 316b9a6d378f");
+    ("and/truncated s1 drop:0.05 pipe", "delivered 2 677/85/8/40/37/3/0/2 316b9a6d378f");
+    ("and/truncated s1 delay:3 seq", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/truncated s1 delay:3 pipe", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/truncated s1 equiv:1 seq", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/truncated s1 equiv:1 pipe", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/truncated s1 crash:1@7,drop:0.03 seq", "stalled 1 spk 1 crashed 301/43/4/20/19/0/1/1 60e1e8f8d97b");
+    ("and/truncated s1 crash:1@7,drop:0.03 pipe", "stalled 1 spk 1 crashed 301/43/4/20/19/0/1/1 60e1e8f8d97b");
+    ("and/truncated s2 crash:2 seq", "delivered 2 576/72/8/32/32/0/1/2 316b9a6d378f");
+    ("and/truncated s2 crash:2 pipe", "delivered 2 576/72/8/32/32/0/1/2 316b9a6d378f");
+    ("and/truncated s2 crash:2@10 seq", "delivered 2 650/82/8/38/36/0/1/2 316b9a6d378f");
+    ("and/truncated s2 crash:2@10 pipe", "delivered 2 650/82/8/38/36/0/1/2 316b9a6d378f");
+    ("and/truncated s2 drop:0.05 seq", "delivered 2 665/83/8/36/39/5/0/2 316b9a6d378f");
+    ("and/truncated s2 drop:0.05 pipe", "delivered 2 665/83/8/36/39/5/0/2 316b9a6d378f");
+    ("and/truncated s2 delay:3 seq", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/truncated s2 delay:3 pipe", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/truncated s2 equiv:2 seq", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/truncated s2 equiv:2 pipe", "delivered 2 704/88/8/40/40/0/0/2 316b9a6d378f");
+    ("and/truncated s2 crash:2@10,drop:0.03 seq", "delivered 2 625/79/8/35/36/3/1/2 316b9a6d378f");
+    ("and/truncated s2 crash:2@10,drop:0.03 pipe", "delivered 2 625/79/8/35/36/3/1/2 316b9a6d378f");
+    ("and/truncated s3 crash:3 seq", "delivered 1 252/36/4/16/16/0/1/1 90643eb27a11");
+    ("and/truncated s3 crash:3 pipe", "delivered 1 252/36/4/16/16/0/1/1 90643eb27a11");
+    ("and/truncated s3 crash:3@13 seq", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/truncated s3 crash:3@13 pipe", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/truncated s3 drop:0.05 seq", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/truncated s3 drop:0.05 pipe", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/truncated s3 delay:3 seq", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/truncated s3 delay:3 pipe", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/truncated s3 equiv:3 seq", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/truncated s3 equiv:3 pipe", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/truncated s3 crash:3@13,drop:0.03 seq", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/truncated s3 crash:3@13,drop:0.03 pipe", "delivered 1 308/44/4/20/20/0/0/1 90643eb27a11");
+    ("and/noisy s1 crash:1 seq", "stalled 1 spk 1 crashed 147/21/3/9/9/0/1/1 447989572a9e");
+    ("and/noisy s1 crash:1 pipe", "stalled 1 spk 1 crashed 147/21/3/9/9/0/1/1 447989572a9e");
+    ("and/noisy s1 crash:1@7 seq", "stalled 1 spk 1 no-quorum 198/28/3/13/12/0/1/2 447989572a9e");
+    ("and/noisy s1 crash:1@7 pipe", "stalled 1 spk 1 no-quorum 198/28/3/13/12/0/1/2 447989572a9e");
+    ("and/noisy s1 drop:0.05 seq", "delivered 2 423/53/6/24/23/1/0/2 c49c339e8229");
+    ("and/noisy s1 drop:0.05 pipe", "delivered 2 423/53/6/24/23/1/0/2 c49c339e8229");
+    ("and/noisy s1 delay:3 seq", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("and/noisy s1 delay:3 pipe", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("and/noisy s1 equiv:1 seq", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("and/noisy s1 equiv:1 pipe", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("and/noisy s1 crash:1@7,drop:0.03 seq", "stalled 1 spk 1 no-quorum 198/28/3/13/12/0/1/2 447989572a9e");
+    ("and/noisy s1 crash:1@7,drop:0.03 pipe", "stalled 1 spk 1 no-quorum 198/28/3/13/12/0/1/2 447989572a9e");
+    ("and/noisy s2 crash:2 seq", "delivered 1 147/21/3/9/9/0/1/1 66cfc84ae510");
+    ("and/noisy s2 crash:2 pipe", "delivered 1 147/21/3/9/9/0/1/1 66cfc84ae510");
+    ("and/noisy s2 crash:2@10 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s2 crash:2@10 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s2 drop:0.05 seq", "delivered 1 175/25/3/11/11/2/0/1 66cfc84ae510");
+    ("and/noisy s2 drop:0.05 pipe", "delivered 1 175/25/3/11/11/2/0/1 66cfc84ae510");
+    ("and/noisy s2 delay:3 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s2 delay:3 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s2 equiv:2 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s2 equiv:2 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s2 crash:2@10,drop:0.03 seq", "delivered 1 182/26/3/11/12/1/0/1 66cfc84ae510");
+    ("and/noisy s2 crash:2@10,drop:0.03 pipe", "delivered 1 182/26/3/11/12/1/0/1 66cfc84ae510");
+    ("and/noisy s3 crash:3 seq", "delivered 1 147/21/3/9/9/0/1/1 66cfc84ae510");
+    ("and/noisy s3 crash:3 pipe", "delivered 1 147/21/3/9/9/0/1/1 66cfc84ae510");
+    ("and/noisy s3 crash:3@13 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s3 crash:3@13 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s3 drop:0.05 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s3 drop:0.05 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s3 delay:3 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s3 delay:3 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s3 equiv:3 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s3 equiv:3 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s3 crash:3@13,drop:0.03 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/noisy s3 crash:3@13,drop:0.03 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("and/constant s1 crash:1 seq", "delivered 0 0/0/0/0/0/0/1/0 04e19e33d9aa");
+    ("and/constant s1 crash:1 pipe", "delivered 0 0/0/0/0/0/0/1/0 04e19e33d9aa");
+    ("and/constant s1 crash:1@7 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s1 crash:1@7 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s1 drop:0.05 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s1 drop:0.05 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s1 delay:3 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s1 delay:3 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s1 equiv:1 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s1 equiv:1 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s1 crash:1@7,drop:0.03 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s1 crash:1@7,drop:0.03 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s2 crash:2 seq", "delivered 0 0/0/0/0/0/0/1/0 04e19e33d9aa");
+    ("and/constant s2 crash:2 pipe", "delivered 0 0/0/0/0/0/0/1/0 04e19e33d9aa");
+    ("and/constant s2 crash:2@10 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s2 crash:2@10 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s2 drop:0.05 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s2 drop:0.05 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s2 delay:3 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s2 delay:3 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s2 equiv:2 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s2 equiv:2 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s2 crash:2@10,drop:0.03 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s2 crash:2@10,drop:0.03 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s3 crash:3 seq", "delivered 0 0/0/0/0/0/0/1/0 04e19e33d9aa");
+    ("and/constant s3 crash:3 pipe", "delivered 0 0/0/0/0/0/0/1/0 04e19e33d9aa");
+    ("and/constant s3 crash:3@13 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s3 crash:3@13 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s3 drop:0.05 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s3 drop:0.05 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s3 delay:3 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s3 delay:3 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s3 equiv:3 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s3 equiv:3 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s3 crash:3@13,drop:0.03 seq", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("and/constant s3 crash:3@13,drop:0.03 pipe", "delivered 0 0/0/0/0/0/0/0/0 04e19e33d9aa");
+    ("compress/xor-coin-sequential s1 crash:1 seq", "stalled 1 spk 1 crashed 147/21/3/9/9/0/1/1 447989572a9e");
+    ("compress/xor-coin-sequential s1 crash:1 pipe", "stalled 1 spk 1 crashed 147/21/3/9/9/0/1/1 447989572a9e");
+    ("compress/xor-coin-sequential s1 crash:1@7 seq", "stalled 1 spk 1 no-quorum 198/28/3/13/12/0/1/2 447989572a9e");
+    ("compress/xor-coin-sequential s1 crash:1@7 pipe", "stalled 1 spk 1 no-quorum 198/28/3/13/12/0/1/2 447989572a9e");
+    ("compress/xor-coin-sequential s1 drop:0.05 seq", "delivered 2 423/53/6/24/23/1/0/2 c49c339e8229");
+    ("compress/xor-coin-sequential s1 drop:0.05 pipe", "delivered 2 423/53/6/24/23/1/0/2 c49c339e8229");
+    ("compress/xor-coin-sequential s1 delay:3 seq", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("compress/xor-coin-sequential s1 delay:3 pipe", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("compress/xor-coin-sequential s1 equiv:1 seq", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("compress/xor-coin-sequential s1 equiv:1 pipe", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("compress/xor-coin-sequential s1 crash:1@7,drop:0.03 seq", "stalled 1 spk 1 no-quorum 198/28/3/13/12/0/1/2 447989572a9e");
+    ("compress/xor-coin-sequential s1 crash:1@7,drop:0.03 pipe", "stalled 1 spk 1 no-quorum 198/28/3/13/12/0/1/2 447989572a9e");
+    ("compress/xor-coin-sequential s2 crash:2 seq", "delivered 2 336/42/6/18/18/0/1/2 c49c339e8229");
+    ("compress/xor-coin-sequential s2 crash:2 pipe", "delivered 2 336/42/6/18/18/0/1/2 c49c339e8229");
+    ("compress/xor-coin-sequential s2 crash:2@10 seq", "delivered 2 414/52/6/24/22/0/1/2 c49c339e8229");
+    ("compress/xor-coin-sequential s2 crash:2@10 pipe", "delivered 2 414/52/6/24/22/0/1/2 c49c339e8229");
+    ("compress/xor-coin-sequential s2 drop:0.05 seq", "stalled 1 spk 1 no-quorum 400/50/6/23/21/4/0/2 447989572a9e");
+    ("compress/xor-coin-sequential s2 drop:0.05 pipe", "stalled 1 spk 1 no-quorum 400/50/6/23/21/4/0/2 447989572a9e");
+    ("compress/xor-coin-sequential s2 delay:3 seq", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("compress/xor-coin-sequential s2 delay:3 pipe", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("compress/xor-coin-sequential s2 equiv:2 seq", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("compress/xor-coin-sequential s2 equiv:2 pipe", "delivered 2 432/54/6/24/24/0/0/2 c49c339e8229");
+    ("compress/xor-coin-sequential s2 crash:2@10,drop:0.03 seq", "stalled 1 spk 1 no-quorum 389/49/6/23/20/3/1/2 447989572a9e");
+    ("compress/xor-coin-sequential s2 crash:2@10,drop:0.03 pipe", "stalled 1 spk 1 no-quorum 389/49/6/23/20/3/1/2 447989572a9e");
+    ("compress/xor-coin-sequential s3 crash:3 seq", "delivered 1 147/21/3/9/9/0/1/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 crash:3 pipe", "delivered 1 147/21/3/9/9/0/1/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 crash:3@13 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 crash:3@13 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 drop:0.05 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 drop:0.05 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 delay:3 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 delay:3 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 equiv:3 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 equiv:3 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 crash:3@13,drop:0.03 seq", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("compress/xor-coin-sequential s3 crash:3@13,drop:0.03 pipe", "delivered 1 189/27/3/12/12/0/0/1 66cfc84ae510");
+    ("disj/seq/k=7 s1 crash:1 seq", "stalled 1 spk 1 crashed 546/78/6/36/36/0/1/1 145fd1103e21");
+    ("disj/seq/k=7 s1 crash:1 pipe", "stalled 1 spk 1 crashed 546/78/6/36/36/0/1/1 145fd1103e21");
+    ("disj/seq/k=7 s1 crash:1@7 seq", "stalled 1 spk 1 crashed 595/85/6/42/37/0/1/1 145fd1103e21");
+    ("disj/seq/k=7 s1 crash:1@7 pipe", "stalled 1 spk 1 crashed 595/85/6/42/37/0/1/1 145fd1103e21");
+    ("disj/seq/k=7 s1 drop:0.05 seq", "delivered 3 2101/253/17/116/120/11/0/3 601791922609");
+    ("disj/seq/k=7 s1 drop:0.05 pipe", "delivered 3 2101/253/17/116/120/11/0/3 601791922609");
+    ("disj/seq/k=7 s1 delay:3 seq", "delivered 3 2250/270/18/126/126/0/0/3 601791922609");
+    ("disj/seq/k=7 s1 delay:3 pipe", "delivered 3 2250/270/18/126/126/0/0/3 601791922609");
+    ("disj/seq/k=7 s1 equiv:1 seq", "delivered 3 2250/270/18/126/126/0/0/3 601791922609");
+    ("disj/seq/k=7 s1 equiv:1 pipe", "delivered 3 2250/270/18/126/126/0/0/3 601791922609");
+    ("disj/seq/k=7 s1 crash:1@7,drop:0.03 seq", "stalled 1 spk 1 crashed 588/84/6/42/36/1/1/1 145fd1103e21");
+    ("disj/seq/k=7 s1 crash:1@7,drop:0.03 pipe", "stalled 1 spk 1 crashed 588/84/6/42/36/1/1/1 145fd1103e21");
+    ("disj/seq/k=7 s2 crash:2 seq", "delivered 3 1950/234/18/108/108/0/1/3 601791922609");
+    ("disj/seq/k=7 s2 crash:2 pipe", "delivered 3 1950/234/18/108/108/0/1/3 601791922609");
+    ("disj/seq/k=7 s2 crash:2@10 seq", "delivered 3 2020/244/18/114/112/0/1/3 601791922609");
+    ("disj/seq/k=7 s2 crash:2@10 pipe", "delivered 3 2020/244/18/114/112/0/1/3 601791922609");
+    ("disj/seq/k=7 s2 drop:0.05 seq", "delivered 3 2104/252/18/119/115/18/0/3 601791922609");
+    ("disj/seq/k=7 s2 drop:0.05 pipe", "delivered 3 2104/252/18/119/115/18/0/3 601791922609");
+    ("disj/seq/k=7 s2 delay:3 seq", "delivered 3 2250/270/18/126/126/0/0/3 601791922609");
+    ("disj/seq/k=7 s2 delay:3 pipe", "delivered 3 2250/270/18/126/126/0/0/3 601791922609");
+    ("disj/seq/k=7 s2 equiv:2 seq", "delivered 3 2250/270/18/126/126/0/0/3 601791922609");
+    ("disj/seq/k=7 s2 equiv:2 pipe", "delivered 3 2250/270/18/126/126/0/0/3 601791922609");
+    ("disj/seq/k=7 s2 crash:2@10,drop:0.03 seq", "delivered 3 1929/233/18/110/105/11/1/3 601791922609");
+    ("disj/seq/k=7 s2 crash:2@10,drop:0.03 pipe", "delivered 3 1929/233/18/110/105/11/1/3 601791922609");
+    ("disj/seq/k=7 s3 crash:3 seq", "delivered 2 1248/156/12/72/72/0/1/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 crash:3 pipe", "delivered 2 1248/156/12/72/72/0/1/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 crash:3@13 seq", "delivered 2 1341/169/12/79/78/0/1/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 crash:3@13 pipe", "delivered 2 1341/169/12/79/78/0/1/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 drop:0.05 seq", "delivered 2 1356/170/12/80/78/10/0/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 drop:0.05 pipe", "delivered 2 1356/170/12/80/78/10/0/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 delay:3 seq", "delivered 2 1440/180/12/84/84/0/0/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 delay:3 pipe", "delivered 2 1440/180/12/84/84/0/0/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 equiv:3 seq", "delivered 2 1440/180/12/84/84/0/0/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 equiv:3 pipe", "delivered 2 1440/180/12/84/84/0/0/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 crash:3@13,drop:0.03 seq", "delivered 2 1309/165/12/77/76/4/1/2 50b86a0a3227");
+    ("disj/seq/k=7 s3 crash:3@13,drop:0.03 pipe", "delivered 2 1309/165/12/77/76/4/1/2 50b86a0a3227");
+    ("disj/bcast/k=7 s1 crash:1 seq", "stalled 1 spk 1 crashed 624/78/6/36/36/0/1/1 1179f03c8ca7");
+    ("disj/bcast/k=7 s1 crash:1 pipe", "stalled 1 spk 1 crashed 624/78/6/36/36/0/1/1 1179f03c8ca7");
+    ("disj/bcast/k=7 s1 crash:1@7 seq", "stalled 1 spk 1 crashed 680/85/6/42/37/0/1/1 1179f03c8ca7");
+    ("disj/bcast/k=7 s1 crash:1@7 pipe", "stalled 1 spk 1 crashed 680/85/6/42/37/0/1/1 1179f03c8ca7");
+    ("disj/bcast/k=7 s1 drop:0.05 seq", "delivered 7 6446/594/40/269/285/24/0/7 3764ce137910");
+    ("disj/bcast/k=7 s1 drop:0.05 pipe", "delivered 7 6446/594/40/269/285/24/0/7 3764ce137910");
+    ("disj/bcast/k=7 s1 delay:3 seq", "delivered 7 6840/630/42/294/294/0/0/7 3764ce137910");
+    ("disj/bcast/k=7 s1 delay:3 pipe", "delivered 7 6840/630/42/294/294/0/0/7 3764ce137910");
+    ("disj/bcast/k=7 s1 equiv:1 seq", "delivered 7 6840/630/42/294/294/0/0/7 3764ce137910");
+    ("disj/bcast/k=7 s1 equiv:1 pipe", "delivered 7 6840/630/42/294/294/0/0/7 3764ce137910");
+    ("disj/bcast/k=7 s1 crash:1@7,drop:0.03 seq", "stalled 1 spk 1 crashed 672/84/6/42/36/1/1/1 1179f03c8ca7");
+    ("disj/bcast/k=7 s1 crash:1@7,drop:0.03 pipe", "stalled 1 spk 1 crashed 672/84/6/42/36/1/1/1 1179f03c8ca7");
+    ("disj/bcast/k=7 s2 crash:2 seq", "stalled 2 spk 2 crashed 1404/156/12/72/72/0/1/2 179cd11428ce");
+    ("disj/bcast/k=7 s2 crash:2 pipe", "stalled 2 spk 2 crashed 1404/156/12/72/72/0/1/2 179cd11428ce");
+    ("disj/bcast/k=7 s2 crash:2@10 seq", "stalled 2 spk 2 crashed 1484/166/12/78/76/0/1/2 179cd11428ce");
+    ("disj/bcast/k=7 s2 crash:2@10 pipe", "stalled 2 spk 2 crashed 1484/166/12/78/76/0/1/2 179cd11428ce");
+    ("disj/bcast/k=7 s2 drop:0.05 seq", "delivered 7 6352/585/41/272/272/39/0/7 842e64d4bed3");
+    ("disj/bcast/k=7 s2 drop:0.05 pipe", "delivered 7 6352/585/41/272/272/39/0/7 842e64d4bed3");
+    ("disj/bcast/k=7 s2 delay:3 seq", "delivered 7 6840/630/42/294/294/0/0/7 842e64d4bed3");
+    ("disj/bcast/k=7 s2 delay:3 pipe", "delivered 7 6840/630/42/294/294/0/0/7 842e64d4bed3");
+    ("disj/bcast/k=7 s2 equiv:2 seq", "stalled 2 spk 2 no-quorum 2100/228/18/126/84/0/0/3 179cd11428ce");
+    ("disj/bcast/k=7 s2 equiv:2 pipe", "stalled 2 spk 2 no-quorum 2100/228/18/126/84/0/0/3 179cd11428ce");
+    ("disj/bcast/k=7 s2 crash:2@10,drop:0.03 seq", "stalled 2 spk 2 crashed 1412/158/12/75/71/8/1/2 179cd11428ce");
+    ("disj/bcast/k=7 s2 crash:2@10,drop:0.03 pipe", "stalled 2 spk 2 crashed 1412/158/12/75/71/8/1/2 179cd11428ce");
+    ("disj/bcast/k=7 s3 crash:3 seq", "stalled 3 spk 3 crashed 2184/234/18/108/108/0/1/3 206581a4b839");
+    ("disj/bcast/k=7 s3 crash:3 pipe", "stalled 3 spk 3 crashed 2184/234/18/108/108/0/1/3 206581a4b839");
+    ("disj/bcast/k=7 s3 crash:3@13 seq", "stalled 3 spk 3 crashed 2290/247/18/115/114/0/1/3 206581a4b839");
+    ("disj/bcast/k=7 s3 crash:3@13 pipe", "stalled 3 spk 3 crashed 2290/247/18/115/114/0/1/3 206581a4b839");
+    ("disj/bcast/k=7 s3 drop:0.05 seq", "delivered 7 6232/575/38/260/277/31/0/7 d9e0935d84a1");
+    ("disj/bcast/k=7 s3 drop:0.05 pipe", "delivered 7 6232/575/38/260/277/31/0/7 d9e0935d84a1");
+    ("disj/bcast/k=7 s3 delay:3 seq", "delivered 7 6840/630/42/294/294/0/0/7 d9e0935d84a1");
+    ("disj/bcast/k=7 s3 delay:3 pipe", "delivered 7 6840/630/42/294/294/0/0/7 d9e0935d84a1");
+    ("disj/bcast/k=7 s3 equiv:3 seq", "delivered 7 6840/630/42/294/294/0/0/7 d9e0935d84a1");
+    ("disj/bcast/k=7 s3 equiv:3 pipe", "delivered 7 6840/630/42/294/294/0/0/7 d9e0935d84a1");
+    ("disj/bcast/k=7 s3 crash:3@13,drop:0.03 seq", "stalled 3 spk 3 crashed 2254/243/18/113/112/4/1/3 206581a4b839");
+    ("disj/bcast/k=7 s3 crash:3@13,drop:0.03 pipe", "stalled 3 spk 3 crashed 2254/243/18/113/112/4/1/3 206581a4b839");
+  ]
+
+let t_fault_pins () =
+  let actual =
+    List.concat_map
+      (fun (Reg.Entry r as e) ->
+        let cert = cert_for e in
+        List.concat_map
+          (fun seed ->
+            List.concat_map
+              (fun plan ->
+                List.map
+                  (fun (mode, cert) ->
+                    ( Printf.sprintf "%s s%d %s %s" (Reg.name e) seed plan mode,
+                      pin_row e ~cert ~seed ~plan ))
+                  [ ("seq", None); ("pipe", cert) ])
+              (pin_plans ~seed ~k:r.players))
+          [ 1; 2; 3 ])
+      (pin_cases ())
+  in
+  Alcotest.(check (list string))
+    "pinned cases" (List.map fst fault_pins) (List.map fst actual);
+  List.iter2
+    (fun (key, want) (_, got) -> Alcotest.(check string) key want got)
+    fault_pins actual
+
 let t_obs_silent_when_disabled () =
   (* No sink, no metrics: a faulty run emits nothing and still works. *)
   let e = Option.get (Reg.find "and/sequential") in
@@ -620,7 +1076,12 @@ let suite =
       t_pipelined_invalid_cert_refused;
     quick "hbcheck: recorded event streams replay and re-judge"
       t_hbcheck_observe_replay;
+    quick "hbcheck: out-of-range players refused" t_hbcheck_player_range;
     quick "obs: per-message events reproduce the stats"
       t_obs_event_accounting;
+    quick "obs: board events and metric charge each write once"
+      t_obs_board_accounting;
+    quick "fault pins: fault-injected runs replay draw for draw"
+      t_fault_pins;
     quick "obs: silent when disabled" t_obs_silent_when_disabled;
   ]
