@@ -5,6 +5,27 @@
 open Bechamel
 open Toolkit
 
+(* A chain of [slots] deterministic one-bit messages alternating
+   between two players: a hosted run of it is [slots] engine steps, so
+   its time over [slots] is the cost of one hosted step at that board
+   length. *)
+let chain_entry slots =
+  let rec go i =
+    if i = slots then Proto.Tree.output 1
+    else
+      Proto.Tree.speak_det ~speaker:(i mod 2) ~f:(fun _ -> 1)
+        [| Proto.Tree.output 0; go (i + 1) |]
+  in
+  Protocols.Registry.entry ~name:"micro/chain" ~players:2 ~domain:[| 0; 1 |]
+    (lazy (go 0))
+
+let hosted_run entry =
+  let h = Protocols.Registry.hosted entry ~seed:1 in
+  ignore
+    (Blackboard.Engine.run ~k:h.Protocols.Registry.k
+       ~schedule:h.Protocols.Registry.schedule
+       ~players:h.Protocols.Registry.players ())
+
 let tests () =
   let rng = Prob.Rng.of_int_seed 31337 in
   let inst_small =
@@ -144,11 +165,19 @@ let tests () =
     Test.make ~name:"compile-tree-exec-and6"
       (Staged.stage
          (let rng = Prob.Rng.of_int_seed 5 in
-          let sample s = Prob.Sampler.draw s rng in
+          let sample _ s = Prob.Sampler.draw s rng in
           fun () ->
             ignore
               (Proto.Compile.exec and6_compiled ~sample
                  ~input_indices:[| 1; 1; 1; 1; 1; 1 |])));
+    Test.make ~name:"hosted-run-chain-64"
+      (Staged.stage
+         (let e = chain_entry 64 in
+          fun () -> hosted_run e));
+    Test.make ~name:"hosted-run-chain-4096"
+      (Staged.stage
+         (let e = chain_entry 4096 in
+          fun () -> hosted_run e));
     Test.make ~name:"compile-tree-batch-sweep-and6-64"
       (Staged.stage (fun () ->
            ignore
@@ -277,6 +306,31 @@ let orbit_ic_regression () =
     k speedup (orbit_t *. 1e3) (direct_t *. 1e3);
   ignore !sink
 
+(* Regression guard for the resumable hosted cursor: one engine step
+   of [Registry.hosted] must cost the same on a 4096-slot board as on a
+   64-slot one. A stateless replay re-walks the whole board on every
+   call, so its ratio grows linearly with the slots (about 47 on these
+   chains). Best of five timings per length, to damp noise. *)
+let hosted_step_regression () =
+  let per_slot slots reps =
+    let e = chain_entry slots in
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to reps do
+        hosted_run e
+      done;
+      best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int reps)
+    done;
+    !best /. float_of_int slots *. 1e9
+  in
+  let short = per_slot 64 400 and long = per_slot 4096 8 in
+  let ratio = long /. short in
+  Exp_util.record_f "hosted_step_ratio" ratio;
+  Exp_util.note
+    "hosted step on a chain: %.0f ns/slot at 4096 slots, %.0f at 64 (ratio %.2f, expected ~1)"
+    long short ratio
+
 let run () =
   Exp_util.heading "MICRO" "bechamel micro-benchmarks (ns per run, OLS fit)";
   let cfg =
@@ -320,4 +374,5 @@ let run () =
        rows);
   null_sink_alloc_check ();
   bitvec_word_regression ();
-  orbit_ic_regression ()
+  orbit_ic_regression ();
+  hosted_step_regression ()

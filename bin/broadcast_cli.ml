@@ -547,8 +547,8 @@ let oneshot_cmd =
 let run_protocol_cmd =
   let module Reg = Protocols.Registry in
   let module Emu = Netsim.Board_emu in
-  let run name runtime engine seed net_seed f faults max_writes check
-      pipeline metrics =
+  let run name runtime seed net_seed f faults max_writes check pipeline
+      metrics =
     let entry =
       match Reg.find name with
       | Some e -> e
@@ -569,12 +569,13 @@ let run_protocol_cmd =
         "run: --check compares the fault-free emulation; drop --faults\n";
       exit 2
     end;
-    if pipeline && runtime <> `Async then begin
-      Printf.eprintf "run: --pipeline requires --runtime async\n";
+    if check && runtime <> `Async then begin
+      Printf.eprintf "run: --check compares an async run with the sync engine; \
+                      add --runtime async\n";
       exit 2
     end;
-    if engine = `Compiled && runtime = `Async then begin
-      Printf.eprintf "run: --engine compiled requires --runtime sync\n";
+    if pipeline && runtime <> `Async then begin
+      Printf.eprintf "run: --pipeline requires --runtime async\n";
       exit 2
     end;
     (* The pipelining certificate, when the slot-dependency analysis can
@@ -671,38 +672,6 @@ let run_protocol_cmd =
     let code =
       with_metrics metrics (fun () ->
           match runtime with
-          | `Sync when engine = `Compiled ->
-              (* Flat-VM engine: the trace-run path off the compiled
-                 bytecode. --check verifies byte-identity against the
-                 tree walker on the same seed. *)
-              let r = Reg.run_on_board_compiled entry ~seed in
-              Printf.printf "%s [compiled] k=%d: %d writes, %d board bits\n"
-                name h.Reg.k
-                (Blackboard.Board.write_count r.Reg.board)
-                (Blackboard.Board.total_bits r.Reg.board);
-              Printf.printf "output: %d\n" r.Reg.output;
-              let code =
-                match
-                  Reg.spec_output entry ~input_indices:r.Reg.input_indices
-                with
-                | None -> 0
-                | Some expected when expected = r.Reg.output ->
-                    Printf.printf "spec: ok (expected %d)\n" expected;
-                    0
-                | Some expected ->
-                    Printf.printf "spec: MISMATCH (expected %d)\n" expected;
-                    1
-              in
-              if check then begin
-                let t = Reg.run_on_board entry ~seed in
-                let same =
-                  Blackboard.Board.equal r.Reg.board t.Reg.board
-                  && r.Reg.output = t.Reg.output
-                in
-                Printf.printf "byte-identical to tree walker: %b\n" same;
-                if same then code else 1
-              end
-              else code
           | `Sync ->
               let o = run_sync () in
               Printf.printf "%s [sync] k=%d: %d writes, %d board bits\n" name
@@ -765,15 +734,6 @@ let run_protocol_cmd =
                    faulty asynchronous network with Bracha reliable \
                    broadcast.")
   in
-  let engine =
-    Arg.(value & opt (enum [ ("tree", `Tree); ("compiled", `Compiled) ]) `Tree
-         & info [ "engine" ]
-             ~doc:"Evaluator: $(b,tree) walks the protocol tree; \
-                   $(b,compiled) executes the flat bit-sliced bytecode \
-                   from Proto.Compile (requires $(b,--runtime sync)). \
-                   With $(b,--check), the compiled board is verified \
-                   byte-identical to the tree walker's.")
-  in
   let seed =
     Arg.(value & opt int 1
          & info [ "seed" ] ~doc:"Protocol randomness seed (inputs, coins).")
@@ -809,9 +769,7 @@ let run_protocol_cmd =
          & info [ "check" ]
              ~doc:"After an async run, also drive the sync engine and \
                    verify the delivered board is byte-identical (exit 1 \
-                   if not; fault-free only). With $(b,--engine compiled), \
-                   compare the compiled board against the tree walker \
-                   instead.")
+                   if not; fault-free only; requires $(b,--runtime async)).")
   in
   let pipeline =
     Arg.(value & flag
@@ -829,7 +787,7 @@ let run_protocol_cmd =
        ~doc:"Run a registry protocol on the sync engine or the \
              asynchronous faulty-broadcast emulation.")
     Term.(
-      const run $ proto_arg $ runtime $ engine $ seed $ net_seed $ f $ faults
+      const run $ proto_arg $ runtime $ seed $ net_seed $ f $ faults
       $ max_writes $ chk $ pipeline $ metrics_flag)
 
 (* ------------------------------------------------------------------ *)

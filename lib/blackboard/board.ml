@@ -3,6 +3,7 @@ type write = { player : int; vec : Coding.Bitvec.t; label : string }
 type t = {
   k : int;
   mutable rev_writes : write list;
+  mutable count : int;  (** [List.length rev_writes], kept in O(1) *)
   mutable total : int;
   by_player : int array;
   charged : bool;
@@ -10,7 +11,8 @@ type t = {
 
 let create ~k =
   if k <= 0 then invalid_arg "Board.create: need at least one player";
-  { k; rev_writes = []; total = 0; by_player = Array.make k 0; charged = true }
+  { k; rev_writes = []; count = 0; total = 0; by_player = Array.make k 0;
+    charged = true }
 
 (* The write list is immutable, so a fork shares it: O(k), not O(writes). *)
 let uncharged_fork t =
@@ -22,6 +24,7 @@ let post_vec t ~player ?(label = "") vec =
   if player < 0 || player >= t.k then invalid_arg "Board.post: bad player";
   let n = Coding.Bitvec.length vec in
   t.rev_writes <- { player; vec; label } :: t.rev_writes;
+  t.count <- t.count + 1;
   t.total <- t.total + n;
   t.by_player.(player) <- t.by_player.(player) + n;
   (* Observability: every charged write in the repo funnels through
@@ -44,14 +47,14 @@ let post t ~player ?label w =
   post_vec t ~player ?label (Coding.Bitbuf.Writer.freeze w)
 
 let writes t = List.rev t.rev_writes
+let rev_writes t = t.rev_writes
 let total_bits t = t.total
-let write_count t = List.length t.rev_writes
+let write_count t = t.count
 let bits_by t i = t.by_player.(i)
 let last_write t = match t.rev_writes with [] -> None | w :: _ -> Some w
 
 let equal a b =
-  a.k = b.k && a.total = b.total
-  && List.length a.rev_writes = List.length b.rev_writes
+  a.k = b.k && a.count = b.count && a.total = b.total
   && List.for_all2
        (fun x y ->
          x.player = y.player && x.label = y.label

@@ -40,8 +40,16 @@ val post_vec : t -> player:int -> ?label:string -> Coding.Bitvec.t -> unit
 val writes : t -> write list
 (** All writes, oldest first. *)
 
+val rev_writes : t -> write list
+(** All writes, newest first, in O(1). The list is immutable, so the
+    board's list at [n] writes stays, physically ([==]), the tail of
+    every later list of the board and of its forks. *)
+
 val total_bits : t -> int
+
 val write_count : t -> int
+(** The number of writes, in O(1). *)
+
 val bits_by : t -> int -> int
 (** Bits contributed by one player. *)
 

@@ -186,8 +186,8 @@ let check_profile p input_indices =
         invalid_arg "Compile.exec: input index out of domain")
     input_indices
 
-let exec ?(on_msg = fun ~speaker:_ ~arity:_ ~width:_ ~msg:_ -> ())
-    ?(on_coin = fun _ -> ()) p ~sample ~input_indices =
+let exec ?(on_msg = fun ~speaker:_ ~arity:_ ~width:_ ~msg:_ -> ()) p ~sample
+    ~input_indices =
   check_profile p input_indices;
   let pc = ref p.root in
   while p.kind.(!pc) <> kind_output do
@@ -195,15 +195,14 @@ let exec ?(on_msg = fun ~speaker:_ ~arity:_ ~width:_ ~msg:_ -> ())
     if p.kind.(n) = kind_speak then begin
       let s = p.speaker.(n) in
       let lid = p.law_of_input.(p.emit_base.(n) + input_indices.(s)) in
-      let msg = sample p.samplers.(lid) in
+      let msg = sample s p.samplers.(lid) in
       on_msg ~speaker:s ~arity:p.arity.(n) ~width:p.width.(n) ~msg;
       pc := p.children.(p.child_base.(n) + msg)
     end
-    else begin
-      let c = sample p.samplers.(p.coin_law.(n)) in
-      on_coin c;
+    else
+      (* [speaker.(n)] is -1 at a Chance node: the draw is a coin. *)
+      let c = sample (-1) p.samplers.(p.coin_law.(n)) in
       pc := p.children.(p.child_base.(n) + c)
-    end
   done;
   p.out_value.(!pc)
 

@@ -12,7 +12,9 @@
 
     - {!exec} walks one input profile, drawing from the interned
       samplers; it mirrors the tree interpreter draw-for-draw, so a run
-      over the same RNG stream produces byte-identical transcripts.
+      over the same RNG streams produces byte-identical transcripts.
+      It is a differential reference, not the board executor:
+      compiling is superlinear in the node count.
     - {!exec_batch} advances up to 62 input profiles at once for
       deterministic programs, one lane per bit of a machine word, in a
       single linear pass over the program.
@@ -43,19 +45,19 @@ val deterministic : t -> bool
 
 val exec :
   ?on_msg:(speaker:int -> arity:int -> width:int -> msg:int -> unit) ->
-  ?on_coin:(int -> unit) ->
   t ->
-  sample:(int Prob.Sampler.t -> int) ->
+  sample:(int -> int Prob.Sampler.t -> int) ->
   input_indices:int array ->
   int
 (** [exec p ~sample ~input_indices] runs one root-to-leaf walk and
     returns the leaf value. [input_indices.(j)] is player [j]'s input
-    as a domain index. [sample] supplies randomness (typically
-    [fun s -> Prob.Sampler.draw s rng]); it is called exactly once per
-    [Speak]/[Chance] node visited, in walk order. [on_msg] fires after
-    each message draw (before descending) and [on_coin] after each
-    coin — hooks for board posting and tracing without coupling this
-    module to {!Blackboard}. *)
+    as a domain index. [sample who s] supplies randomness; it is called
+    exactly once per [Speak]/[Chance] node visited, in walk order, with
+    [who] the speaking player, or [-1] for a [Chance] coin, so
+    messages can come from private streams and coins from a public
+    one. [on_msg] fires after each message draw (before descending),
+    a hook for board posting without coupling this module to
+    {!Blackboard}. *)
 
 (** {1 Bit-sliced batch execution} *)
 

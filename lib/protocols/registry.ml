@@ -155,128 +155,9 @@ let builtins =
         (lazy (Disj_trees.pointwise_or_broadcast ~n:2 ~k:3));
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Trace run mode: execute an entry's tree operationally on a          *)
-(* blackboard, so registry protocols can be traced and metered by the  *)
-(* observability subsystem exactly like the hand-written solvers.      *)
-(* ------------------------------------------------------------------ *)
-
-type run = {
-  output : int;
-  board : Blackboard.Board.t;
-  input_indices : int array;
-      (** per-player index into the entry's input domain *)
-  msg_rounds : int;  (** Speak nodes traversed (coins excluded) *)
-}
-
-(** [run_on_board entry ~seed] draws one input per player uniformly
-    from the entry's domain, then walks the tree: every [Speak] node's
-    message is sampled from its emit law and written on the board
-    fixed-width in [ceil(log2 arity)] bits — the Section-3 charging
-    {!Proto.Tree.communication_cost} assumes — and every [Chance] coin
-    is resolved with public randomness, free of charge. Board writes
-    flow through {!Blackboard.Board.post}, so an installed trace sink
-    sees one [Broadcast] event per message (plus the [Round_start] /
-    [Round_end] brackets emitted here) and the summed event bits equal
-    [Runtime.stats_of_board] of the returned board. *)
-let run_on_board (Entry { name; players; domain; tree; _ }) ~seed =
-  let rng = Prob.Rng.of_int_seed seed in
-  let input_indices =
-    Array.init players (fun _ -> Prob.Rng.int rng (Array.length domain))
-  in
-  let inputs = Array.map (fun i -> domain.(i)) input_indices in
-  let board = Blackboard.Board.create ~k:players in
-  let sample_int law =
-    Prob.Sampler.draw (Prob.Sampler.create (Prob.Dist_exact.to_float_dist law)) rng
-  in
-  let traced = Obs.Trace.enabled () in
-  let rounds = ref 0 in
-  let rec walk node =
-    match node with
-    | Proto.Tree.Output v -> v
-    | Proto.Tree.Speak { speaker; emit; children } ->
-        let round = !rounds in
-        incr rounds;
-        if traced then Obs.Trace.emit (Obs.Event.Round_start { round });
-        let msg = sample_int (emit inputs.(speaker)) in
-        let arity = Array.length children in
-        let w = Coding.Bitbuf.Writer.create () in
-        Coding.Intcode.write_fixed w ~bound:arity msg;
-        Blackboard.Board.post board ~player:speaker ~label:name w;
-        if traced then
-          Obs.Trace.emit
-            (Obs.Event.Round_end
-               { round; bits = Coding.Intcode.fixed_width arity });
-        walk children.(msg)
-    | Proto.Tree.Chance { coin; children } -> walk children.(sample_int coin)
-  in
-  let output = Obs.Trace.with_span ("registry/" ^ name) (fun () -> walk (Lazy.force tree)) in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.bump "registry.runs" 1;
-    Obs.Metrics.bump "registry.msg_rounds" !rounds
-  end;
-  { output; board; input_indices; msg_rounds = !rounds }
-
-(* ------------------------------------------------------------------ *)
-(* Compiled VM run mode: the same observable run as [run_on_board],    *)
-(* but off the flat bytecode from [Proto.Compile] instead of the tree  *)
-(* walker. Programs are compiled once per entry and cached; the cache  *)
-(* key is the entry name, which [register] keeps unique.               *)
-(* ------------------------------------------------------------------ *)
-
-let compiled_cache : (string, Proto.Compile.t) Hashtbl.t = Hashtbl.create 16
-
-let compiled (Entry { name; players; domain; tree; _ }) =
-  match Hashtbl.find_opt compiled_cache name with
-  | Some p -> p
-  | None ->
-      let p = Proto.Compile.compile ~players ~domain (Lazy.force tree) in
-      Hashtbl.add compiled_cache name p;
-      p
-
-(** Byte-identical to {!run_on_board} on the same seed: the input draws
-    are the same, and each visited node draws from a sampler built from
-    the same float law ([Compile] interns laws up to exact-rational
-    equality, and [Prob.Sampler.create] is a pure function of the float
-    distribution), so the rng stream — and hence every message and the
-    board — is consumed identically. *)
-let run_on_board_compiled (Entry { name; players; domain; _ } as e) ~seed =
-  let p = compiled e in
-  let rng = Prob.Rng.of_int_seed seed in
-  let input_indices =
-    Array.init players (fun _ -> Prob.Rng.int rng (Array.length domain))
-  in
-  let board = Blackboard.Board.create ~k:players in
-  let traced = Obs.Trace.enabled () in
-  let rounds = ref 0 in
-  let on_msg ~speaker ~arity ~width:_ ~msg =
-    let round = !rounds in
-    incr rounds;
-    if traced then Obs.Trace.emit (Obs.Event.Round_start { round });
-    let w = Coding.Bitbuf.Writer.create () in
-    Coding.Intcode.write_fixed w ~bound:arity msg;
-    Blackboard.Board.post board ~player:speaker ~label:name w;
-    if traced then
-      Obs.Trace.emit
-        (Obs.Event.Round_end { round; bits = Coding.Intcode.fixed_width arity })
-  in
-  let sample s = Prob.Sampler.draw s rng in
-  let output =
-    Obs.Trace.with_span ("registry.compiled/" ^ name) (fun () ->
-        Proto.Compile.exec ~on_msg p ~sample ~input_indices)
-  in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.bump "registry.compiled_runs" 1;
-    Obs.Metrics.bump "registry.msg_rounds" !rounds
-  end;
-  { output; board; input_indices; msg_rounds = !rounds }
-
-(* ------------------------------------------------------------------ *)
-(* Engine-hosted form: the entry's tree as a board-driven schedule and *)
-(* speak/observe players, so registry protocols run under             *)
-(* Blackboard.Engine.run — or any other driver with the same shape,   *)
-(* such as the Netsim asynchronous board emulation — unchanged.       *)
-(* ------------------------------------------------------------------ *)
+(* Engine-hosted form: the entry's tree as a board-driven schedule and
+   speak/observe players, run unchanged by Blackboard.Engine.run or the
+   Netsim asynchronous board emulation. *)
 
 type hosted = {
   k : int;
@@ -291,65 +172,40 @@ let spec_output (Entry { domain; spec; _ }) ~input_indices =
     (fun f -> f (Array.map (fun i -> domain.(i)) input_indices))
     spec
 
-(** [hosted entry ~seed] draws inputs exactly as {!run_on_board} does
-    (the first [players] draws from [Rng.of_int_seed seed]), then turns
-    the tree into engine players. The schedule carries no mutable
-    state: it replays the board through the tree — consuming one write
-    per [Speak] node via the same fixed-width code the speaker used,
-    resolving every [Chance] coin from a fresh public stream drawn in
-    walk order, hence identically on every replay — and reports the
-    current node's speaker. Message sampling lives in the speakers'
-    private streams and happens exactly once per scheduled write, so
-    any driver that calls [speak] in schedule order (the sync engine,
-    the async emulation, any fault-free delivery order) produces the
-    same board, byte for byte. *)
-let hosted (Entry { players = k; domain; tree; _ }) ~seed =
+(* Inputs: the first [players] draws of [Rng.of_int_seed seed]. *)
+let draw_inputs ~players ~domain ~seed =
   let rng = Prob.Rng.of_int_seed seed in
-  let input_indices =
-    Array.init k (fun _ -> Prob.Rng.int rng (Array.length domain))
-  in
+  Array.init players (fun _ -> Prob.Rng.int rng (Array.length domain))
+
+let sample law rng =
+  Prob.Sampler.draw (Prob.Sampler.create (Prob.Dist_exact.to_float_dist law)) rng
+
+(* A message is its child index, written fixed-width in
+   [ceil(log2 arity)] bits — the Section-3 charging
+   {!Proto.Tree.communication_cost} assumes. *)
+let read_msg w children =
+  Coding.Intcode.read_fixed
+    (Blackboard.Board.reader_of_write w)
+    ~bound:(Array.length children)
+
+(* The engine players over [locate], which maps a board to the node its
+   writes lead to, with every chance coin on the way resolved. Each
+   scheduled write samples once, from the speaker's private stream. *)
+let host ~k ~domain ~seed locate =
+  let input_indices = draw_inputs ~players:k ~domain ~seed in
   let inputs = Array.map (fun i -> domain.(i)) input_indices in
-  let tree = Lazy.force tree in
-  let replay board =
-    let coins = Blackboard.Runtime.public_rng ~seed in
-    let sample law =
-      Prob.Sampler.draw
-        (Prob.Sampler.create (Prob.Dist_exact.to_float_dist law))
-        coins
-    in
-    let rec go node writes =
-      match (node, writes) with
-      | Proto.Tree.Chance { coin; children }, _ ->
-          go children.(sample coin) writes
-      | Proto.Tree.Output _, _ | Proto.Tree.Speak _, [] -> node
-      | Proto.Tree.Speak { children; _ }, w :: rest ->
-          let msg =
-            Coding.Intcode.read_fixed
-              (Blackboard.Board.reader_of_write w)
-              ~bound:(Array.length children)
-          in
-          go children.(msg) rest
-    in
-    go tree (Blackboard.Board.writes board)
-  in
-  let schedule board =
-    match replay board with
-    | Proto.Tree.Speak { speaker; _ } -> Some speaker
-    | Proto.Tree.Output _ -> None
-    | Proto.Tree.Chance _ -> assert false (* replay resolves coins *)
-  in
   let priv = Blackboard.Runtime.private_rngs ~seed ~k in
+  let schedule board =
+    match locate board with
+    | Proto.Tree.Speak { speaker; _ } -> Some speaker
+    | _ -> None
+  in
   let speak p board =
-    match replay board with
+    match locate board with
     | Proto.Tree.Speak { speaker; emit; children } when speaker = p ->
-        let msg =
-          Prob.Sampler.draw
-            (Prob.Sampler.create
-               (Prob.Dist_exact.to_float_dist (emit inputs.(p))))
-            priv.(p)
-        in
         let w = Coding.Bitbuf.Writer.create () in
-        Coding.Intcode.write_fixed w ~bound:(Array.length children) msg;
+        Coding.Intcode.write_fixed w ~bound:(Array.length children)
+          (sample (emit inputs.(p)) priv.(p));
         w
     | _ -> invalid_arg "Registry.hosted: speak called out of turn"
   in
@@ -358,11 +214,132 @@ let hosted (Entry { players = k; domain; tree; _ }) ~seed =
         { Blackboard.Engine.speak = speak p; observe = (fun _ -> ()) })
   in
   let output_of board =
-    match replay board with
-    | Proto.Tree.Output v -> Some v
-    | _ -> None
+    match locate board with Proto.Tree.Output v -> Some v | _ -> None
   in
   { k; schedule; players; input_indices; output_of }
+
+(* Walk [node] past its chance nodes, drawing each coin from [coins]. *)
+let rec settle node coins =
+  match node with
+  | Proto.Tree.Chance { coin; children } ->
+      settle children.(sample coin coins) coins
+  | _ -> node
+
+(* A cursor: the node a write list leads to (a [Speak] or [Output]
+   node, coins resolved) and the public coin stream just past the coins
+   resolved on the way. [Output] absorbs further writes. *)
+type 'a cursor = {
+  writes : Blackboard.Board.write list;  (** newest first *)
+  node : 'a Proto.Tree.t;
+  coins : Prob.Rng.t;
+}
+
+(* Resume [c] over the writes [pending] (oldest first) that lead on to
+   [writes], on a copy of its coins: the cached cursor stays intact. *)
+let advance c pending writes =
+  let coins = Prob.Rng.copy c.coins in
+  let step node w =
+    match node with
+    | Proto.Tree.Speak { children; _ } ->
+        settle children.(read_msg w children) coins
+    | _ -> node
+  in
+  { writes; node = List.fold_left step c.node pending; coins }
+
+(* The cursor resumes from the deepest cached prefix of a board's write
+   list, so it draws the coins a replay from the root would, in walk
+   order: it is a pure function of the board's writes. *)
+let hosted (Entry { players = k; domain; tree; _ }) ~seed =
+  let coins = Blackboard.Runtime.public_rng ~seed in
+  let root = { writes = []; node = settle (Lazy.force tree) coins; coins } in
+  (* The cursor last located at each write count. *)
+  let cache = Hashtbl.create 64 in
+  Hashtbl.replace cache 0 root;
+  let locate board =
+    let rec find n writes pending =
+      match (Hashtbl.find_opt cache n, writes) with
+      | Some c, _ when c.writes == writes -> (c, pending)
+      | _, w :: older -> find (n - 1) older (w :: pending)
+      | _, [] -> (root, pending)
+    in
+    let n = Blackboard.Board.write_count board in
+    let writes = Blackboard.Board.rev_writes board in
+    match find n writes [] with
+    | c, [] -> c.node
+    | c, pending ->
+        let c = advance c pending writes in
+        Hashtbl.replace cache n c;
+        c.node
+  in
+  host ~k ~domain ~seed locate
+
+type run = {
+  output : int;
+  board : Blackboard.Board.t;
+  input_indices : int array;
+      (** per-player index into the entry's input domain *)
+  msg_rounds : int;  (** Speak nodes traversed (coins excluded) *)
+}
+
+(* Every write flows through [Board.post] inside the engine's rounds,
+   so traced [Broadcast] bits equal the board's. *)
+let run_on_board (Entry { name; _ } as e) ~seed =
+  let h = hosted e ~seed in
+  let o =
+    Obs.Trace.with_span ("registry/" ^ name) (fun () ->
+        Blackboard.Engine.run ~k:h.k ~schedule:h.schedule ~players:h.players ())
+  in
+  let board = o.Blackboard.Engine.board and rounds = o.Blackboard.Engine.writes in
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.bump "registry.runs" 1;
+    Obs.Metrics.bump "registry.msg_rounds" rounds
+  end;
+  {
+    output = Option.get (h.output_of board);
+    board;
+    input_indices = h.input_indices;
+    msg_rounds = rounds;
+  }
+
+module For_testing = struct
+  (* Every call re-walks the board from the root, drawing the coins
+     from a fresh public stream. *)
+  let hosted (Entry { players = k; domain; tree; _ }) ~seed =
+    let tree = Lazy.force tree in
+    host ~k ~domain ~seed (fun board ->
+        let coins = Blackboard.Runtime.public_rng ~seed in
+        let rec go node writes =
+          match (node, writes) with
+          | Proto.Tree.Chance { coin; children }, _ ->
+              go children.(sample coin coins) writes
+          | Proto.Tree.Speak { children; _ }, w :: rest ->
+              go children.(read_msg w children) rest
+          | _ -> node
+        in
+        go tree (Blackboard.Board.writes board))
+
+  let run_compiled (Entry { players; domain; tree; _ }) ~seed =
+    let p = Proto.Compile.compile ~players ~domain (Lazy.force tree) in
+    let input_indices = draw_inputs ~players ~domain ~seed in
+    let coins = Blackboard.Runtime.public_rng ~seed in
+    let priv = Blackboard.Runtime.private_rngs ~seed ~k:players in
+    let board = Blackboard.Board.create ~k:players in
+    let on_msg ~speaker ~arity ~width:_ ~msg =
+      let w = Coding.Bitbuf.Writer.create () in
+      Coding.Intcode.write_fixed w ~bound:arity msg;
+      Blackboard.Board.post board ~player:speaker w
+    in
+    let sample who s =
+      Prob.Sampler.draw s (if who < 0 then coins else priv.(who))
+    in
+    let output = Proto.Compile.exec ~on_msg p ~sample ~input_indices in
+    {
+      output;
+      board;
+      input_indices;
+      msg_rounds = Blackboard.Board.write_count board;
+    }
+end
 
 let registered : entry list ref = ref []
 

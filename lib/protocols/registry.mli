@@ -56,6 +56,38 @@ val symmetry_witness : entry -> (int array * int array) option
     indices into the entry's domain) whose output laws differ.
     Exhaustive in the entry's domain. *)
 
+type hosted = {
+  k : int;
+  schedule : Blackboard.Board.t -> int option;
+      (** board-driven: locates the tree node the writes so far lead to *)
+  players : Blackboard.Engine.player array;
+  input_indices : int array;
+      (** the drawn per-player indices into the entry's domain *)
+  output_of : Blackboard.Board.t -> int option;
+      (** the tree's output once the board holds a complete transcript;
+          [None] while the run is unfinished (e.g. a stalled async
+          emulation) *)
+}
+
+val hosted : entry -> seed:int -> hosted
+(** Engine-hosted form, the one board executor of registry trees,
+    runnable unchanged under {!Blackboard.Engine.run} or the
+    asynchronous [Netsim] board emulation. Inputs are the first
+    [players] draws of [Rng.of_int_seed seed]; chance coins come from
+    [Runtime.public_rng ~seed] in walk order, messages from the
+    speaker's [Runtime.private_rngs ~seed] stream, each charged
+    fixed-width [ceil(log2 arity)] bits. Two runtimes that call [speak]
+    in the same order produce byte-identical boards.
+
+    The schedule is a resumable cursor over the tree, cached per
+    write-list prefix ({!Blackboard.Board.rev_writes}): a board that
+    extends a cached prefix (the same board later, or an
+    [uncharged_fork] of it) decodes only its new writes, so a step
+    costs the same at every slot; any other board resumes from its
+    deepest cached prefix. The players hold private-randomness state:
+    one hosted value drives {e one} run.
+    @raise Invalid_argument when [speak] is called out of turn. *)
+
 type run = {
   output : int;
   board : Blackboard.Board.t;
@@ -65,56 +97,23 @@ type run = {
 }
 
 val run_on_board : entry -> seed:int -> run
-(** Trace run mode: draw uniform inputs from the entry's domain and
-    execute the tree operationally on a blackboard — each message
-    sampled from its emit law and charged fixed-width
-    [ceil(log2 arity)] bits via {!Blackboard.Board.post}, coins
-    resolved free. With a trace sink installed, the summed [Broadcast]
-    event bits equal [Blackboard.Runtime.stats_of_board] of the
-    returned board. *)
+(** Trace run mode: {!hosted} driven by {!Blackboard.Engine.run} in a
+    ["registry/<name>"] span, bumping the [registry.runs] and
+    [registry.msg_rounds] metrics. Writes carry the engine's empty
+    label; the summed traced [Broadcast] bits equal the board's. *)
 
-val compiled : entry -> Proto.Compile.t
-(** The entry's tree flattened by {!Proto.Compile.compile}, memoized
-    per entry name (names are unique, enforced by {!register}). *)
+(** Reference executors for differential tests. *)
+module For_testing : sig
+  val hosted : entry -> seed:int -> hosted
+  (** The stateless reference form of {!hosted}: every call walks the
+      board from the root with a fresh public stream. Same boards,
+      quadratic in slots. *)
 
-val run_on_board_compiled : entry -> seed:int -> run
-(** Same observable run as {!run_on_board} — same input draws, same
-    board bytes, same trace events — executed on the compiled bytecode
-    instead of the tree walker. Laws are interned up to exact-rational
-    equality and [Prob.Sampler.create] is a pure function of the float
-    distribution, so the rng stream is consumed draw-for-draw
-    identically; the CI bench-smoke gate and [test_compile] check the
-    resulting boards with {!Blackboard.Board.equal}. *)
-
-type hosted = {
-  k : int;
-  schedule : Blackboard.Board.t -> int option;
-      (** board-driven: replays the tree through the writes so far *)
-  players : Blackboard.Engine.player array;
-  input_indices : int array;
-      (** the drawn per-player indices into the entry's domain — the
-          same draws {!run_on_board} makes from the same seed *)
-  output_of : Blackboard.Board.t -> int option;
-      (** the tree's output once the board holds a complete transcript;
-          [None] while the run is unfinished (e.g. a stalled async
-          emulation) *)
-}
-
-val hosted : entry -> seed:int -> hosted
-(** Engine-hosted form: the same protocol as a board-driven [schedule]
-    plus [speak]/[observe] players, runnable unchanged under
-    {!Blackboard.Engine.run} or the asynchronous [Netsim] board
-    emulation. The schedule is stateless — it recomputes the current
-    tree node by replaying the board — so it is safe to call it any
-    number of times per write; all chance coins resolve from a public
-    stream derived from [seed], all message sampling from per-player
-    private streams, so a run is a pure function of [(entry, seed)]
-    and two runtimes that call [speak] in the same order produce
-    byte-identical boards.
-
-    The players hold mutable private-randomness state: one hosted value
-    drives {e one} run. For a differential comparison, build a fresh
-    hosted (same entry, same seed) per runtime. *)
+  val run_compiled : entry -> seed:int -> run
+  (** {!run_on_board}'s run on {!Proto.Compile.exec}, compiled afresh
+      and fed from the same streams; held {!Blackboard.Board.equal} to
+      it by the E2S [compiled_identical_all] gate. *)
+end
 
 val spec_output : entry -> input_indices:int array -> int option
 (** The entry's declared reference output on the input profile named by

@@ -9,8 +9,8 @@
 
     - the certified [\[min, max\]] reachable bit-cost interval must
       contain the bits an actual seeded run charges on the blackboard
-      ([Registry.run_on_board], which posts through the same
-      fixed-width accounting);
+      ([Registry.run_on_board], the sync engine driving the same
+      [Registry.hosted] executor as the async emulation);
     - the certified worst case must equal the structural
       [Tree.communication_cost] (strictly below it only when proven-dead
       branches carry the structural maximum — reported as advisory);

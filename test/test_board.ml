@@ -50,6 +50,32 @@ let t_bad_player () =
     (Invalid_argument "Board.post: bad player") (fun () ->
       B.post b ~player:2 (writer_of_bits [ true ]))
 
+(* The count is a field now, not [List.length]: a fork copies it, and
+   later posts to either board move only that board's count. *)
+let t_fork_counts () =
+  let b = B.create ~k:2 in
+  B.post b ~player:0 (writer_of_bits [ true ]);
+  let f = B.uncharged_fork b in
+  B.post f ~player:1 (writer_of_bits [ false; true ]);
+  B.post b ~player:1 (writer_of_bits [ true ]);
+  B.post b ~player:0 (writer_of_bits [ false ]);
+  B.post f ~player:0 (writer_of_bits []);
+  B.post f ~player:0 (writer_of_bits [ true ]);
+  List.iter
+    (fun (name, t, n) ->
+      Alcotest.(check int) (name ^ ": count") n (B.write_count t);
+      Alcotest.(check int)
+        (name ^ ": count = length writes")
+        (List.length (B.writes t)) (B.write_count t);
+      Alcotest.(check bool)
+        (name ^ ": rev_writes = rev writes")
+        true
+        (List.rev (B.rev_writes t) = B.writes t))
+    [ ("board", b, 3); ("fork", f, 4) ];
+  Alcotest.(check bool) "shared prefix is physical" true
+    (List.nth (B.rev_writes b) 2 == List.nth (B.rev_writes f) 3);
+  Alcotest.(check bool) "equal compares counts" false (B.equal b f)
+
 let t_private_rngs_distinct () =
   let rngs = Blackboard.Runtime.private_rngs ~seed:1 ~k:4 in
   let draws = Array.map Prob.Rng.next_int64 rngs in
@@ -88,6 +114,7 @@ let suite =
     quick "order and labels" t_order_and_labels;
     quick "re-read a write" t_reread_write;
     quick "bad player rejected" t_bad_player;
+    quick "fork: write_count = length writes" t_fork_counts;
     quick "private rngs distinct and reproducible" t_private_rngs_distinct;
     quick "public rng independent" t_public_rng_differs_from_private;
     quick "turn robin" t_turn_robin;

@@ -2,7 +2,8 @@
     tree interpreter: the compiled scalar evaluator must consume the
     rng stream draw-for-draw like the reference walker, the bit-sliced
     batch evaluator must agree lane-for-lane on deterministic trees,
-    and the registry run paths must produce byte-identical boards. *)
+    and the registry's board run must be byte-identical to the VM fed
+    from the same streams. *)
 
 module T = Proto.Tree
 module C = Proto.Compile
@@ -14,10 +15,10 @@ open Test_util
 let k = 3
 let bit_domain = [| 0; 1 |]
 
-(* Reference walker with the exact sampling discipline of
-   [Registry.run_on_board]: a fresh sampler per visited node, one draw
-   per node, recording (speaker, arity, msg) per message. The compiled
-   [exec] must match it event-for-event from the same rng seed. *)
+(* Reference walker: a fresh sampler per visited node, one draw per
+   node from one stream, recording (speaker, arity, msg) per message.
+   The compiled [exec] must match it event-for-event from the same rng
+   seed. *)
 let reference_walk tree ~inputs ~rng =
   let events = ref [] in
   let sample law =
@@ -39,7 +40,7 @@ let compiled_walk p ~input_indices ~rng =
   let on_msg ~speaker ~arity ~width:_ ~msg =
     events := (speaker, arity, msg) :: !events
   in
-  let sample s = Prob.Sampler.draw s rng in
+  let sample _ s = Prob.Sampler.draw s rng in
   let out = C.exec ~on_msg p ~sample ~input_indices in
   (out, List.rev !events)
 
@@ -83,7 +84,7 @@ let det_exec p ~input_indices =
      rng here rather than [dummy_sample]. *)
   ignore dummy_sample;
   let rng = Prob.Rng.of_int_seed 7 in
-  C.exec p ~sample:(fun s -> Prob.Sampler.draw s rng) ~input_indices
+  C.exec p ~sample:(fun _ s -> Prob.Sampler.draw s rng) ~input_indices
 
 let prop_batch_lanes =
   qtest "exec_batch lanes == scalar exec, transcripts and bits too"
@@ -123,34 +124,90 @@ let prop_sweep_matches_batch =
       swept
       = Array.map (fun prof -> det_exec p ~input_indices:prof) profiles)
 
-(* Registry differential: tree and compiled engines must produce
-   byte-identical boards on every entry, every seed. *)
+module Reg = Protocols.Registry
+
+let compiled (Reg.Entry e) =
+  C.compile ~players:e.players ~domain:e.domain (Lazy.force e.tree)
+
+let check_same_run what (r1 : Reg.run) (r2 : Reg.run) =
+  if not (Blackboard.Board.equal r1.board r2.board) then
+    Alcotest.failf "%s: boards differ" what;
+  Alcotest.(check int) (what ^ " output") r1.output r2.output;
+  Alcotest.(check (array int)) (what ^ " inputs") r1.input_indices
+    r2.input_indices;
+  Alcotest.(check int) (what ^ " rounds") r1.msg_rounds r2.msg_rounds
+
+(* Registry differential: the hosted board run and the VM fed from the
+   same streams must produce byte-identical boards on every entry,
+   every seed. *)
 let registry_boards_identical () =
   List.iter
     (fun entry ->
-      let name = Protocols.Registry.name entry in
       List.iter
         (fun seed ->
-          let r1 = Protocols.Registry.run_on_board entry ~seed in
-          let r2 = Protocols.Registry.run_on_board_compiled entry ~seed in
-          if not (Blackboard.Board.equal r1.board r2.board) then
-            Alcotest.failf "%s seed %d: boards differ" name seed;
-          Alcotest.(check int)
-            (Printf.sprintf "%s seed %d output" name seed)
-            r1.output r2.output;
-          Alcotest.(check (array int))
-            (Printf.sprintf "%s seed %d inputs" name seed)
-            r1.input_indices r2.input_indices;
-          Alcotest.(check int)
-            (Printf.sprintf "%s seed %d rounds" name seed)
-            r1.msg_rounds r2.msg_rounds)
+          check_same_run
+            (Printf.sprintf "%s seed %d" (Reg.name entry) seed)
+            (Reg.run_on_board entry ~seed)
+            (Reg.For_testing.run_compiled entry ~seed))
         [ 0; 1; 2; 3; 4 ])
-    (Protocols.Registry.all ())
+    (Reg.all ())
+
+(* One executor, one rng layout: [run_on_board] is the engine driving a
+   fresh [hosted], on every entry — including the randomized ones
+   (and/noisy, compress/xor-coin-sequential), where drawing coins and
+   messages from one stream instead would write other boards. *)
+let run_on_board_is_hosted () =
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun seed ->
+          let h = Reg.hosted entry ~seed in
+          match
+            Blackboard.Engine.run_result ~k:h.Reg.k ~schedule:h.Reg.schedule
+              ~players:h.Reg.players ()
+          with
+          | Error e -> Alcotest.fail (Blackboard.Engine.error_message e)
+          | Ok o ->
+              check_same_run
+                (Printf.sprintf "%s seed %d" (Reg.name entry) seed)
+                (Reg.run_on_board entry ~seed)
+                {
+                  Reg.output = Option.get (h.Reg.output_of o.board);
+                  board = o.board;
+                  input_indices = h.Reg.input_indices;
+                  msg_rounds = o.writes;
+                })
+        [ 0; 1; 2; 3; 4 ])
+    (Reg.all ())
+
+(* Two unregistered entries may share a name (the async experiments
+   reuse one name across k); each must run its own tree, which a
+   program cache keyed by name would not. *)
+let same_name_entries_run_own_trees () =
+  let x k =
+    Reg.entry ~name:"x" ~players:k ~domain:[| 0; 1 |]
+      (lazy (Protocols.And_protocols.sequential k))
+  in
+  List.iter
+    (fun k ->
+      let e = x k in
+      List.iter
+        (fun seed ->
+          let r = Reg.run_on_board e ~seed in
+          let what = Printf.sprintf "x (k = %d) seed %d" k seed in
+          Alcotest.(check int) (what ^ " inputs") k
+            (Array.length r.input_indices);
+          Alcotest.(check int) (what ^ " output = AND")
+            (Array.fold_left ( land ) 1 r.input_indices)
+            r.output;
+          check_same_run what r (Reg.For_testing.run_compiled e ~seed))
+        [ 0; 1; 2; 3 ])
+    [ 2; 5; 2 ]
 
 let registry_sweep_matches_spec () =
   List.iter
     (fun entry ->
-      let p = Protocols.Registry.compiled entry in
+      let p = compiled entry in
       if C.deterministic p && Protocols.Registry.has_spec entry then begin
         let name = Protocols.Registry.name entry in
         let players = Protocols.Registry.players entry in
@@ -188,7 +245,7 @@ let golden_and_sequential () =
   match Protocols.Registry.find "and/sequential" with
   | None -> Alcotest.fail "and/sequential not registered"
   | Some entry ->
-      let p = Protocols.Registry.compiled entry in
+      let p = compiled entry in
       let expected =
         "players=5 domain=2 nodes=11 root=n10 det=true\n\
          n10: speak p0 w1 [0->L0 1->L1] kids[n0 n9]\n\
@@ -211,7 +268,7 @@ let batch_rejects_randomized () =
   match Protocols.Registry.find "and/noisy" with
   | None -> Alcotest.fail "and/noisy not registered"
   | Some entry ->
-      let p = Protocols.Registry.compiled entry in
+      let p = compiled entry in
       Alcotest.(check bool) "noisy not deterministic" false
         (C.deterministic p);
       Alcotest.check_raises "exec_batch rejects"
@@ -225,6 +282,9 @@ let suite =
     prop_batch_lanes;
     prop_sweep_matches_batch;
     quick "registry: compiled boards byte-identical" registry_boards_identical;
+    quick "registry: run_on_board = engine over hosted" run_on_board_is_hosted;
+    quick "registry: same-name entries run their own trees"
+      same_name_entries_run_own_trees;
     quick "registry: batched sweep matches specs" registry_sweep_matches_spec;
     quick "golden: and/sequential bytecode pinned" golden_and_sequential;
     quick "exec_batch rejects randomized programs" batch_rejects_randomized;

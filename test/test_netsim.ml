@@ -693,8 +693,8 @@ let pin_plans ~seed ~k =
     Printf.sprintf "crash:%d@%d,drop:0.03" p s;
   ]
 
-let pin_row e ~cert ~seed ~plan =
-  let h = Reg.hosted e ~seed in
+let outcome_row hosted e ~cert ~seed ~plan =
+  let h = hosted e ~seed in
   let f = (h.Reg.k - 1) / 3 in
   let faults = match Fault.parse plan with Ok p -> p | Error m -> failwith m in
   let stats (s : Emu.stats) =
@@ -719,6 +719,8 @@ let pin_row e ~cert ~seed ~plan =
         | Emu.No_quorum -> "no-quorum")
         (stats s) (digest board)
   | Error err -> "error " ^ Emu.error_message err
+
+let pin_row = outcome_row Reg.hosted
 
 let fault_pins =
   [
@@ -1036,6 +1038,86 @@ let t_fault_pins () =
     (fun (key, want) (_, got) -> Alcotest.(check string) key want got)
     fault_pins actual
 
+(* The resumable cursor against the stateless replay reference, on
+   every registry entry and the pinned k = 7 trees: the same outcome
+   under every fault plan, with and without a pipelining certificate
+   (whose waves speak on forks of the committed board). *)
+let t_cursor_matches_replay () =
+  List.iter
+    (fun (Reg.Entry r as e) ->
+      let cert = cert_for e in
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun plan ->
+              List.iter
+                (fun cert ->
+                  let row hosted = outcome_row hosted e ~cert ~seed ~plan in
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s s%d %s" (Reg.name e) seed plan)
+                    (row Reg.For_testing.hosted) (row Reg.hosted))
+                [ None; cert ])
+            ("" :: pin_plans ~seed ~k:r.players))
+        [ 1; 2; 3 ])
+    (Reg.all () @ pin_cases ())
+
+(* The cursor is a function of the board's writes alone: queried on
+   prefixes of a finished run in scrambled order — boards sharing their
+   write lists, boards built afresh, and forks that diverge from the
+   run with message 0 — it answers like the replay from the root. *)
+let t_cursor_any_board () =
+  List.iter
+    (fun e ->
+      List.iter
+        (fun seed ->
+          let board, _ = run_sync e ~seed in
+          let k = Reg.players e in
+          let writes = Array.of_list (B.writes board) in
+          let n = Array.length writes in
+          let shared = B.create ~k in
+          let snaps =
+            Array.init (n + 1) (fun m ->
+                if m > 0 then
+                  B.post_vec shared ~player:writes.(m - 1).B.player
+                    writes.(m - 1).B.vec;
+                B.uncharged_fork shared)
+          in
+          let fresh m =
+            let b = B.create ~k in
+            Array.iteri
+              (fun i w -> if i < m then B.post_vec b ~player:w.B.player w.B.vec)
+              writes;
+            b
+          in
+          let diverged m =
+            let b = B.uncharged_fork snaps.(m) in
+            let w = Coding.Bitbuf.Writer.create () in
+            Coding.Bitbuf.Writer.add_bits w 0
+              (Coding.Bitvec.length writes.(m).B.vec);
+            B.post b ~player:writes.(m).B.player w;
+            b
+          in
+          let cursor = Reg.hosted e ~seed
+          and replay = Reg.For_testing.hosted e ~seed in
+          let order = Array.init (n + 1) Fun.id in
+          Prob.Rng.shuffle (Prob.Rng.of_int_seed seed) order;
+          Array.iter
+            (fun m ->
+              List.iter
+                (fun b ->
+                  let what = Printf.sprintf "%s s%d m=%d" (Reg.name e) seed m in
+                  Alcotest.(check (option int))
+                    (what ^ " schedule") (replay.Reg.schedule b)
+                    (cursor.Reg.schedule b);
+                  Alcotest.(check (option int))
+                    (what ^ " output") (replay.Reg.output_of b)
+                    (cursor.Reg.output_of b))
+                (snaps.(m) :: fresh m
+                :: (if m < n then [ diverged m ] else [])))
+            order)
+        [ 0; 1; 2; 3 ])
+    (Reg.all ())
+
 let t_obs_silent_when_disabled () =
   (* No sink, no metrics: a faulty run emits nothing and still works. *)
   let e = Option.get (Reg.find "and/sequential") in
@@ -1083,5 +1165,9 @@ let suite =
       t_obs_board_accounting;
     quick "fault pins: fault-injected runs replay draw for draw"
       t_fault_pins;
+    quick "hosted: cursor = stateless replay under every fault plan"
+      t_cursor_matches_replay;
+    quick "hosted: cursor answers any board like the replay"
+      t_cursor_any_board;
     quick "obs: silent when disabled" t_obs_silent_when_disabled;
   ]
